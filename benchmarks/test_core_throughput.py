@@ -21,13 +21,6 @@ and runs as its own CI job, so a perf regression fails the
 *performance* leg without ever masking a correctness failure.
 Intentional slowdowns are accepted by committing the rewritten
 ``BENCH_core.json`` together with the change.
-
-When the mypyc-built kernel extension is present the compiled leg runs
-too, recording ``current_ips_compiled`` (plus its own history) under
-``REPRO_BACKEND=compiled`` with the same median/best-of-N discipline,
-warning below the 3x-vs-interpreted target and hard-failing on a >5%
-regression against its own committed number.  Without the extension
-the leg skips — the interpreted gate is unaffected.
 """
 
 import json
@@ -37,9 +30,6 @@ import time
 import warnings
 from pathlib import Path
 
-import pytest
-
-from repro.backend import available_backends, use
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.bench_report import (
     bounded_history,
@@ -102,12 +92,6 @@ def _run_kernel(telemetry: bool = False):
     return total_instructions, total_seconds
 
 
-#: Target multiple of the committed interpreted throughput for the
-#: compiled (mypyc) kernel leg; a miss warns, a regression against the
-#: leg's own committed number fails.
-COMPILED_TARGET = 3.0
-
-
 def measure_ips(repeats: int = 3):
     """(median, best) simulated instructions/second over ≥3 repetitions.
 
@@ -145,9 +129,7 @@ def test_core_throughput_gate():
         "history": history,
     }
     # Keys owned by the other benchmark legs ride along unchanged.
-    for key in ("telemetry_overhead", "tracing_overhead",
-                "current_ips_compiled", "compiled_speedup",
-                "history_compiled"):
+    for key in ("telemetry_overhead", "tracing_overhead"):
         if key in committed:
             record[key] = committed[key]
     # One schema for every history entry: older entries carried only
@@ -168,48 +150,6 @@ def test_core_throughput_gate():
             f"committed {reference:.0f} inst/s "
             f"({100 * (1 - best / reference):.0f}% drop, limit "
             f"{100 * REGRESSION_TOLERANCE:.0f}%); if intentional, commit "
-            f"the rewritten BENCH_core.json")
-    assert ips > 0
-
-
-def test_core_throughput_gate_compiled():
-    """The compiled-kernel leg: only runs where the extension is built.
-
-    Records ``current_ips_compiled`` (median) and its own history into
-    ``BENCH_core.json``; warns when the speedup over the committed
-    interpreted ``current_ips`` misses the ``COMPILED_TARGET``; fails
-    on a >5% best-of-N regression against the leg's committed number.
-    """
-    if "compiled" not in available_backends():
-        pytest.skip("compiled kernel extension not built "
-                    "(REPRO_BUILD_COMPILED=1 pip install -e .[compiled])")
-    with use("compiled"):
-        ips, best = measure_ips()
-
-    committed = {}
-    if BENCH_FILE.exists():
-        committed = json.loads(BENCH_FILE.read_text())
-    interpreted = committed.get("current_ips", 0.0)
-    reference = committed.get("current_ips_compiled")
-    speedup = round(ips / interpreted, 2) if interpreted else None
-    entry = {"current_ips_compiled": round(ips, 1),
-             "compiled_speedup": speedup}
-    committed["current_ips_compiled"] = round(ips, 1)
-    committed["compiled_speedup"] = speedup
-    committed["history_compiled"] = bounded_history(
-        committed.get("history_compiled"), entry)
-    BENCH_FILE.write_text(json.dumps(committed, indent=1) + "\n")
-
-    if interpreted and ips < COMPILED_TARGET * interpreted:
-        warnings.warn(
-            f"compiled kernel at {ips / interpreted:.2f}x the committed "
-            f"interpreted throughput, below the {COMPILED_TARGET}x "
-            f"target", stacklevel=1)
-    if reference:
-        floor = reference * (1 - REGRESSION_TOLERANCE)
-        assert best >= floor, (
-            f"compiled throughput regressed: best {best:.0f} inst/s vs "
-            f"committed {reference:.0f} inst/s; if intentional, commit "
             f"the rewritten BENCH_core.json")
     assert ips > 0
 

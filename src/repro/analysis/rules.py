@@ -499,127 +499,6 @@ def _is_main_guard(test: ast.expr) -> bool:
             and test.comparators[0].value == "__main__")
 
 
-class KernelPurityRule(Rule):
-    """The compiled kernel stays mypyc-clean and monkeypatch-free.
-
-    ``repro/uarch/_kernel`` is the set of modules the optional mypyc
-    extension compiles to native code; both backends must behave
-    byte-identically.  Patterns that compile differently (or not at
-    all) under mypyc are banned at lint time so the drift is loud even
-    on checkouts without a mypy toolchain:
-
-    * every ``def`` is fully annotated — parameters and return type
-      (the strict per-package mypy config enforces the same thing when
-      the toolchain is present);
-    * no ``**kwargs`` (or bare unannotated ``*args``) on any function:
-      kernel calls stay positional/keyword-explicit so the compiler
-      emits direct calls on the hot path;
-    * no module-level mutable state (list/dict/set literals or
-      constructors): a native module's globals are not patchable, so a
-      mutable global would behave differently per backend;
-    * no dynamic attribute machinery (``getattr``/``setattr``/
-      ``delattr``/``vars``/``globals``/``eval``/``exec``): native
-      classes have no ``__dict__`` for it to hit.
-    """
-
-    id = "kernel-purity"
-    description = ("uarch/_kernel modules must be fully annotated, "
-                   "**kwargs-free, without module-level mutable state "
-                   "or dynamic attribute access (mypyc contract)")
-
-    _DYNAMIC = ("getattr", "setattr", "delattr", "vars", "globals",
-                "eval", "exec")
-    _MUTABLE_CALLS = ("list", "dict", "set", "bytearray",
-                      "collections.defaultdict", "collections.deque",
-                      "collections.Counter", "collections.OrderedDict")
-
-    def _in_kernel(self, module: ModuleInfo) -> bool:
-        return module.in_package("uarch") \
-            and "_kernel" in module.relpath.split("/")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not self._in_kernel(module):
-            return
-        imports = _import_map(module.tree)
-        yield from self._check_module_state(module, imports)
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_signature(module, node)
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id in self._DYNAMIC \
-                    and imports.get(node.func.id,
-                                    node.func.id) == node.func.id:
-                yield self.finding(
-                    module, node,
-                    f"{node.func.id}() in the kernel: native classes "
-                    "and modules have no __dict__ for dynamic "
-                    "attribute access to hit")
-
-    def _check_module_state(self, module: ModuleInfo,
-                            imports: Dict[str, str]
-                            ) -> Iterator[Finding]:
-        for stmt in module.tree.body:
-            if isinstance(stmt, ast.Assign):
-                value, targets = stmt.value, stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                value, targets = stmt.value, [stmt.target]
-            else:
-                continue
-            reason = self._mutable_value(value, imports)
-            if reason is None:
-                continue
-            names = ", ".join(filter(None, (_dotted(t) for t in targets)))
-            yield self.finding(
-                module, stmt,
-                f"module-level mutable state ({names or 'assignment'} "
-                f"= {reason}) in the kernel: compiled modules are not "
-                "monkeypatchable, so shared mutable globals diverge "
-                "between backends")
-
-    def _mutable_value(self, value: ast.expr,
-                       imports: Dict[str, str]) -> Optional[str]:
-        if isinstance(value, (ast.List, ast.ListComp)):
-            return "a list"
-        if isinstance(value, (ast.Dict, ast.DictComp)):
-            return "a dict"
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return "a set"
-        if isinstance(value, ast.Call):
-            origin = _resolve(value.func, imports)
-            if origin in self._MUTABLE_CALLS:
-                return f"{origin}(...)"
-        return None
-
-    def _check_signature(self, module: ModuleInfo,
-                         func: ast.AST) -> Iterator[Finding]:
-        args = func.args
-        if args.kwarg is not None:
-            yield self.finding(
-                module, func,
-                f"{func.name}(**{args.kwarg.arg}) in the kernel: "
-                "hot-path signatures must be explicit so the compiler "
-                "emits direct calls")
-        ordered = args.posonlyargs + args.args
-        missing = [a.arg for i, a in enumerate(ordered)
-                   if a.annotation is None
-                   and not (i == 0 and a.arg in ("self", "cls"))]
-        missing += [a.arg for a in args.kwonlyargs if a.annotation is None]
-        if args.vararg is not None and args.vararg.annotation is None:
-            missing.append(f"*{args.vararg.arg}")
-        if missing:
-            yield self.finding(
-                module, func,
-                f"{func.name}() has unannotated parameter(s) "
-                f"{', '.join(missing)}: kernel defs must be fully "
-                "typed for mypyc")
-        if func.returns is None:
-            yield self.finding(
-                module, func,
-                f"{func.name}() has no return annotation: kernel defs "
-                "must be fully typed for mypyc")
-
-
 def default_rules() -> List[Rule]:
     """The full shipped rule set, cross-table checker included."""
     return [
@@ -632,6 +511,5 @@ def default_rules() -> List[Rule]:
         TelemetryPurityRule(),
         FloatFreeCountersRule(),
         MainGuardRule(),
-        KernelPurityRule(),
         CrossTableRule(),
     ]

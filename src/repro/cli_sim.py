@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .backend import get_backend
 from .functional.checkpoint import CheckpointStore
 from .isa import assemble
 from .metrics.breakdown import ClassBreakdown
@@ -258,8 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             extras.append(f"Pipeline trace: {config.name}\n"
                           + tracer.render())
         if profile is not None:
-            extras.append(f"Profile: {config.name} "
-                          f"[{get_backend().summary()}]\n"
+            extras.append(f"Profile: {config.name}\n"
                           + profile.report())
         if sink is not None:
             many = len(args.config) > 1

@@ -43,11 +43,10 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..backend import get_backend
 from ..isa.program import Program
-from ..uarch._kernel.ffexec import FF_BAD_PC, FF_HALT
 from ..util.locking import FileLock, atomic_write_bytes
 from .compiled import HALT, CompiledProgram
+from .ffexec import FF_BAD_PC, FF_HALT, run_ff
 from .memory import PAGE_SIZE, Memory
 from .simulator import ArchState, SimulationError
 
@@ -94,8 +93,7 @@ def capture(program: Program, skip: int) -> WarmState:
     """
     state = ArchState(program)
     ff_entry = CompiledProgram(program).ff_entry
-    ffexec = get_backend().ffexec
-    pc, executed, status = ffexec.run_ff(
+    pc, executed, status = run_ff(
         ff_entry, HALT, state, state.pc, skip, False)
     if status == FF_BAD_PC:
         raise SimulationError(f"warm-up ran off program at {pc:#x}")

@@ -32,6 +32,7 @@ from ..isa.opcodes import (
     u32,
 )
 from ..isa.program import Program, STACK_TOP
+from .ffexec import FF_BAD_PC, FF_HALT, FF_UNBOUNDED, run_ff
 from .memory import Memory
 
 
@@ -190,17 +191,12 @@ class FunctionalSimulator:
         # itself imports ExecOutcome from this module.
         if compiled:
             from .compiled import CompiledProgram, HALT
-            from ..backend import get_backend
             self._compiled: Optional["CompiledProgram"] = \
                 CompiledProgram(program)
             self._halt_sentinel = HALT
-            # The fast-forward dispatch loop is a kernel function
-            # (interpreted or mypyc-built, per the active backend).
-            self._ffexec = get_backend().ffexec
         else:
             self._compiled = None
             self._halt_sentinel = None
-            self._ffexec = None
 
     @property
     def pc(self) -> int:
@@ -247,23 +243,22 @@ class FunctionalSimulator:
         # State mutations are identical to the interpreted loop (pinned
         # by tests/functional/test_compiled.py); like step(), an executed
         # halt counts and leaves the PC on the halt instruction.  The
-        # loop itself is the kernel's run_ff driver (shared with
-        # core.skip and checkpoint.capture).
+        # loop itself is the run_ff driver (shared with core.skip and
+        # checkpoint.capture).
         if self.halted:
             return 0
         state = self.state
-        ffexec = self._ffexec
-        budget = (ffexec.FF_UNBOUNDED if max_instructions is None
+        budget = (FF_UNBOUNDED if max_instructions is None
                   else max_instructions)
-        pc, executed, status = ffexec.run_ff(
+        pc, executed, status = run_ff(
             self._compiled.ff_entry, self._halt_sentinel, state,
             state.pc, budget, True)
         # Keep state coherent even on a bad-PC error.
         state.pc = pc
         self.instructions_retired += executed
-        if status == ffexec.FF_BAD_PC:
+        if status == FF_BAD_PC:
             raise SimulationError(f"no instruction at pc={pc:#x}")
-        if status == ffexec.FF_HALT:
+        if status == FF_HALT:
             self.halted = True
         return executed
 

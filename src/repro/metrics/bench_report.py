@@ -66,13 +66,12 @@ def normalize_core_entry(entry: Dict, seed_ips: float) -> Dict:
 
 
 def normalize_core_history(record: Dict) -> Dict:
-    """Normalize every history leg of a ``BENCH_core.json`` record."""
+    """Normalize every history entry of a ``BENCH_core.json`` record."""
     record = dict(record)
     seed = record.get("seed_ips") or 0.0
-    for leg in ("history", "history_compiled"):
-        if record.get(leg):
-            record[leg] = [normalize_core_entry(entry, seed)
-                           for entry in record[leg]]
+    if record.get("history"):
+        record["history"] = [normalize_core_entry(entry, seed)
+                             for entry in record["history"]]
     return record
 
 
@@ -154,27 +153,6 @@ def core_trend(record: Dict, window: int = DEFAULT_WINDOW,
                    f"band +-{tolerance:.0%}; history entries may span "
                    f"different machines")
     reports.append(table)
-
-    compiled = record.get("history_compiled") or []
-    if compiled:
-        ctable = Report(
-            title="Core throughput history (compiled)",
-            headers=("entry", "ips", "vs seed", "x interpreted",
-                     "rolling median", "delta %", "flag"))
-        interp = record.get("current_ips")
-        for i, value, median, delta, flag in _metric_rows(
-                compiled, "current_ips", True, window, tolerance):
-            multiplier = compiled[i].get("compiled_speedup")
-            if multiplier is None and value is not None and interp:
-                multiplier = round(value / interp, 2)
-            ctable.add_row(i, value,
-                           compiled[i].get("speedup_vs_seed"),
-                           multiplier, median, delta, flag)
-        reports.append(ctable)
-    elif record.get("current_ips_compiled") is not None:
-        table.add_note(
-            f"compiled backend: {record['current_ips_compiled']} ips "
-            f"({record.get('compiled_speedup', '-')}x interpreted)")
     return reports
 
 

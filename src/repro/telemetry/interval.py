@@ -9,8 +9,8 @@ kinds of quantity appear in a row:
   tests, ...) — differences of cumulative counters, so they sum to the
   end-of-run totals;
 * **instantaneous** values at the sample point (ROB/LSQ/fetch-queue
-  occupancy) — cheap and exact, because the core fast-forwards only
-  through provably idle spans in which occupancy cannot change.
+  occupancy) — cheap and exact, because the core steps every cycle and
+  the sink samples at the boundary cycle itself.
 
 Serialized either as versioned JSONL (header object + one array per
 row) or CSV (header row + numeric rows), chosen by file suffix;
@@ -42,7 +42,7 @@ INTERVAL_COLUMNS = (
     "rob_occupancy",      # instantaneous, at the sample point
     "lsq_occupancy",
     "fetch_queue",
-    "fetch_stall_cycles",  # stepped cycles fetch could not proceed
+    "fetch_stall_cycles",  # cycles fetch could not proceed
     "dispatched",
     "executions",         # execution attempts (incl. re-executions)
     "vp_predicted",       # predictions made at dispatch

@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..backend import get_backend
 from ..util.locking import atomic_write_text
 from ..util.serial import canonical_dumps
 from .spans import span_id
@@ -102,7 +101,6 @@ def environment_fields() -> Dict[str, Optional[str]]:
         user = getpass.getuser()
     except (KeyError, OSError):  # no passwd entry (containers)
         user = None
-    backend = get_backend()
     return {
         "host": platform.node(),
         "platform": platform.platform(),
@@ -111,11 +109,6 @@ def environment_fields() -> Dict[str, Optional[str]]:
         "git_describe": git_describe(),
         "user": user,
         "pid": os.getpid(),
-        # Which kernel produced the result (never part of the cache
-        # key: both backends are pinned byte-identical, so this is
-        # provenance, not identity).
-        "backend": backend.name,
-        "backend_extension": backend.extension_version,
     }
 
 

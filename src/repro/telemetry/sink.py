@@ -17,12 +17,8 @@ into the core, so attaching one cannot change a statistic — the
 telemetry-transparency test pins ``SimStats`` byte-identity with and
 without a sink, and the golden corpus pins the detached default.
 
-Fast-forward interaction: the core calls ``on_cycle`` both after every
-stepped cycle and after a fast-forward jump.  A jump only crosses spans
-in which provably nothing happens, so boundary rows emitted from inside
-a jump carry zero deltas and the (unchanged) current occupancies —
-sampling stays exact without forcing the core to step through idle
-cycles.
+The core steps every cycle and calls ``on_cycle`` after each one, so
+every boundary row samples the machine at exactly its boundary cycle.
 """
 
 from __future__ import annotations
@@ -95,11 +91,8 @@ class TelemetrySink:
     # -- interval path --------------------------------------------------------------
 
     def on_cycle(self, core) -> None:
-        """Flush every sample boundary at or before ``core.cycle``."""
-        cycle = core.cycle
-        if cycle < self._next_sample:
-            return
-        while cycle >= self._next_sample:
+        """Sample when ``core.cycle`` reaches the next boundary."""
+        if core.cycle >= self._next_sample:
             self._sample(core, self._next_sample)
             self._next_sample += self.interval
 

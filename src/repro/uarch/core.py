@@ -29,22 +29,19 @@ record, and all per-instruction dynamic state lives in the preallocated
 parallel arrays of an :class:`~repro.uarch.entry.EntryPool` — the ROB,
 LSQ, rename map, event heap and wakeup queue hold small integer entry
 ids (or ``(seq << SEQ_SHIFT) | id`` tokens where staleness is possible),
-so the steady state allocates no objects per instruction.  When the
-machine is provably idle until a known future cycle the core
-fast-forwards the cycle counter instead of stepping through empty
-cycles.  All of it is timing-transparent: the statistics are
-byte-identical to the object-per-entry core's (``tests/golden`` pins
-this).
+so the steady state allocates no objects per instruction.  All of it
+is timing-transparent: the statistics are byte-identical to the
+object-per-entry core's (``tests/golden`` pins this).
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..backend import get_backend
 from ..functional.compiled import CompiledProgram, HALT
+from ..functional.ffexec import FF_BAD_PC, run_ff
 from ..functional.simulator import FunctionalSimulator, SimulationError
 from ..isa.opcodes import (
     NUM_REGS,
@@ -62,19 +59,11 @@ from .branch_predictor import BranchPredictorUnit
 from .cache import PortTracker, SetAssocCache
 from .config import BranchPolicy, IRValidation, MachineConfig, ReexecPolicy
 from .decode import DecodeTable
-from .entry import IDX_MASK, REG_MASK, REG_SHIFT, SEQ_SHIFT
+from .entry import IDX_MASK, REG_MASK, REG_SHIFT, SEQ_SHIFT, EntryPool
+from .events import EVENT_COMPLETE, EVENT_RESOLVE, EventQueue, WakeupQueue
 from .fetch import FetchUnit
 from .functional_units import FunctionalUnits
-from ._kernel import events as _kernel_events
-from ._kernel import ffexec as _kernel_ffexec
 from .spec_state import SpeculativeState
-
-# Event kinds and the "no pending activity" bound are kernel constants
-# (repro.uarch._kernel.events); the aliases keep the historical names
-# the tests import.  They are plain ints, identical on every backend.
-_EVENT_COMPLETE = _kernel_events.EVENT_COMPLETE
-_EVENT_RESOLVE = _kernel_events.EVENT_RESOLVE
-_FAR_FUTURE = _kernel_events.FAR_FUTURE
 
 # Consumer edges pack ((seq << SEQ_SHIFT | id) << REG_SHIFT) | reg; the
 # packed entry's upper bits are the producer-recorded seq of the consumer.
@@ -97,19 +86,15 @@ class OutOfOrderCore:
         self.dcache_ports = PortTracker(config.dcache.ports)
         self.spec = SpeculativeState(program)
 
-        # Kernel structures (entry pool, event heap, wakeup queue) come
-        # from the active backend — interpreted sources or the mypyc
-        # extension — bound here once; see repro.backend.  Late binding
-        # (at construction, not import) is what lets tests and the CLI
-        # switch backends per process without re-importing this module.
-        backend = self.backend = get_backend()
-
         # All dynamic instruction state lives in the entry pool; the
         # sizing covers the ROB plus the retired-but-pinned tail (slots
         # kept alive by live consumers' producer edges) without growth
-        # in the steady state.
-        pool = self.pool = backend.entry_pool.EntryPool(
-            config.rob_size * 4 + 32)
+        # in the steady state.  The hot path reads the pool's Optional
+        # slots only where flags (``completed``, ``issued``...) guarantee
+        # them set, which mypy cannot follow, so the core's view of the
+        # pool is untyped.
+        pool: Any = EntryPool(config.rob_size * 4 + 32)
+        self.pool = pool
         # One-hop bindings of every pool array the hot path touches.
         # ``_grow`` extends the lists in place, so these stay valid.
         self.e_seq = pool.seq_of
@@ -174,11 +159,11 @@ class OutOfOrderCore:
         self.rename: List[Optional[int]] = [None] * NUM_REGS
         self.rob: Deque[int] = deque()
         self.lsq: Deque[int] = deque()
-        # Completion-event heap and wakeup queue are kernel structures;
-        # the core borrows their backing lists (``events`` /
-        # ``issue_queue``) for local-variable-speed scans and routes the
-        # invariant-bearing mutations through the kernel methods.
-        self._eventq = backend.events.EventQueue()
+        # The core borrows the backing lists of the completion-event heap
+        # and the wakeup queue (``events`` / ``issue_queue``) for
+        # local-variable-speed scans and routes the invariant-bearing
+        # mutations through their methods.
+        self._eventq = EventQueue()
         self.events: List[Tuple[int, int, int, int]] = self._eventq.heap
         # Wakeup queue of tokens: the only instructions issue examines.
         # An op is resident from dispatch until it issues or can never
@@ -186,7 +171,7 @@ class OutOfOrderCore:
         # Kept in seq order (token order == seq order; re-adds mark the
         # queue dirty and it is re-sorted at the top of _issue) so issue
         # priority matches ROB order exactly.
-        self._wakeq = backend.events.WakeupQueue()
+        self._wakeq = WakeupQueue()
         self.issue_queue: List[int] = self._wakeq.tokens
 
         self.cycle = 0
@@ -195,9 +180,6 @@ class OutOfOrderCore:
         self.halt_dispatched: Optional[int] = None  # token
         self.halted = False
 
-        # Cycle-skip fast-forward (disable for A/B timing experiments;
-        # statistics are identical either way).
-        self.fast_forward = True
         self.profile: Optional[CoreProfile] = None
         # Observation-only telemetry sink (enable_telemetry); never feeds
         # a value back, so stats are identical with or without it.
@@ -251,7 +233,6 @@ class OutOfOrderCore:
             max_instructions: Optional[int] = None) -> SimStats:
         """Simulate until halt commits or a budget is exhausted."""
         step = self.step
-        fast_forward = self._fast_forward
         stats = self.stats
         # The entry pool holds dynamic state in flat arrays and the
         # dataflow edges are plain ints, so the cyclic collector has
@@ -268,8 +249,6 @@ class OutOfOrderCore:
                         and stats.committed >= max_instructions):
                     break
                 step()
-                if self.fast_forward:
-                    fast_forward(max_cycles)
         finally:
             if restore_gc:
                 gc.enable()
@@ -290,10 +269,10 @@ class OutOfOrderCore:
         # the interpreted loop did, but with no ExecOutcome allocation;
         # like before, the halt is left unexecuted for the front end.
         compiled = CompiledProgram(self.program)
-        pc, executed, status = self.backend.ffexec.run_ff(
+        pc, executed, status = run_ff(
             compiled.ff_entry, HALT, self.spec,
             self.program.entry_point, instructions, False)
-        if status == _kernel_ffexec.FF_BAD_PC:
+        if status == FF_BAD_PC:
             raise SimulationError(f"skip ran off program at {pc:#x}")
         self.fetch_unit.fetch_pc = pc
         if self.oracle is not None:
@@ -322,8 +301,6 @@ class OutOfOrderCore:
 
     def step(self) -> None:
         """Advance one cycle (reverse pipeline order)."""
-        if self.profile is not None:
-            return self._step_profiled()
         self.cycle += 1
         # Phase calls are guarded by their work sources: each phase is a
         # no-op on an empty structure, so skipping the call is pure
@@ -343,25 +320,23 @@ class OutOfOrderCore:
         if self.telemetry is not None:
             self.telemetry.on_cycle(self)
 
-    def _step_profiled(self) -> None:
-        """step() with per-phase wallclock accounting (``--profile``)."""
-        profile = self.profile
-        self.cycle += 1
-        profile.cycles_stepped += 1
-        profile.time_phase("commit", self._commit)
-        profile.time_phase("events", self._process_events)
-        profile.time_phase("issue", self._issue)
-        profile.time_phase("dispatch", self._dispatch)
-        profile.time_phase("fetch",
-                           lambda: self.fetch_unit.step(self.cycle))
-        self.stats.cycles = self.cycle
-        if self.telemetry is not None:
-            self.telemetry.on_cycle(self)
-
     def enable_profiling(self) -> CoreProfile:
-        """Attach (and return) a :class:`CoreProfile` for this run."""
-        self.profile = CoreProfile()
-        return self.profile
+        """Attach (and return) a :class:`CoreProfile` for this run.
+
+        Installs a timer over each phase call :meth:`step` makes, as an
+        instance attribute, so the profile times exactly the guarded
+        calls an unprofiled run makes.
+        """
+        profile = self.profile = CoreProfile(self.stats)
+        fetch = self.fetch_unit
+        for owner, method, phase in ((self, "_commit", "commit"),
+                                     (self, "_process_events", "events"),
+                                     (self, "_issue", "issue"),
+                                     (self, "_dispatch", "dispatch"),
+                                     (fetch, "step", "fetch")):
+            setattr(owner, method,
+                    profile.timed(phase, getattr(owner, method)))
+        return profile
 
     def enable_telemetry(self, sink=None, *, interval: Optional[int] = None,
                          trace_capacity: Optional[int] = None,
@@ -387,136 +362,6 @@ class OutOfOrderCore:
             self.ir.telemetry = sink
         return sink
 
-    # ---------------------------------------------------------- fast-forward --
-
-    def _fast_forward(self, max_cycles: Optional[int]) -> None:
-        """Jump over cycles in which provably nothing can happen.
-
-        Only the cycle counter moves: by construction no event fires, no
-        instruction becomes issuable/committable and the front end cannot
-        advance strictly before the target, so stepping through the gap
-        would only have burned wallclock.  Under-estimating the jump is
-        always safe (the next step re-derives it).
-        """
-        if self.halted:
-            return
-        target = self._next_activity_cycle()
-        if max_cycles is not None and target > max_cycles + 1:
-            # Land exactly on the budget so stats.cycles matches a core
-            # that stepped every empty cycle up to the limit.
-            target = max_cycles + 1
-        elif target >= _FAR_FUTURE:
-            return  # unbounded run with no pending work: spin, as before
-        if target <= self.cycle + 1:
-            return
-        skipped = target - 1 - self.cycle
-        self.cycle = target - 1
-        self.stats.cycles = self.cycle
-        if self.profile is not None:
-            self.profile.cycles_skipped += skipped
-            self.profile.skips += 1
-        if self.telemetry is not None:
-            # Flush interval boundaries crossed by the jump.  The skipped
-            # span is provably idle, so the boundary rows carry zero
-            # deltas and the (unchanged) current occupancies — exactly
-            # what stepping through the gap would have sampled.
-            self.telemetry.on_cycle(self)
-
-    def _next_activity_cycle(self) -> int:
-        """Earliest future cycle at which machine state can change.
-
-        Returns ``cycle + 1`` ("no skip") whenever anything might happen
-        next cycle; every subsystem contributes a conservative bound:
-
-        * the event heap's top entry (never skip past a scheduled event);
-        * fetch: imminent unless stalled (bound: ``stall_until``), out of
-          queue room, or blocked on a redirect (event-driven);
-        * dispatch: imminent when the queue head clears the ROB/LSQ/
-          checkpoint limits (unblocking is commit- or event-driven);
-        * commit: the head's ``nonspec_cycle + 1`` once it is completed
-          and resolved;
-        * the wakeup queue: a pending re-execution bounds at
-          ``reexec_earliest``; an op whose operands are all broadcast is
-          imminent; one waiting on an in-flight producer is covered by
-          that producer's completion event (or by the producer itself,
-          which sits earlier in this same queue).
-        """
-        no_skip = self.cycle + 1
-        bound = _FAR_FUTURE
-
-        events = self.events
-        if events:
-            bound = events[0][0]
-            if bound <= no_skip:
-                return no_skip
-
-        fetch = self.fetch_unit
-        if not fetch.blocked and fetch.room() > 0:
-            if fetch.stall_until > no_skip:
-                if fetch.stall_until < bound:
-                    bound = fetch.stall_until
-            else:
-                return no_skip
-
-        queue = fetch.queue
-        if queue and self.halt_dispatched is None:
-            head_op = queue[0][0]
-            if len(self.rob) < self.config.rob_size \
-                    and (not head_op.is_mem
-                         or len(self.lsq) < self.config.lsq_size) \
-                    and (not head_op.needs_checkpoint
-                         or self.unresolved_control
-                         < self.config.max_unresolved_branches):
-                return no_skip  # head is dispatchable next cycle
-
-        e_completed = self.e_completed
-        e_nonspec = self.e_nonspec
-        e_reexec = self.e_reexec
-        rob = self.rob
-        if rob:
-            head = rob[0]
-            if e_completed[head] and e_nonspec[head] is not None \
-                    and (not self.e_is_control[head]
-                         or self.e_resolved[head]):
-                commit_at = e_nonspec[head] + 1
-                if commit_at <= no_skip:
-                    return no_skip
-                if commit_at < bound:
-                    bound = commit_at
-
-        e_seq = self.e_seq
-        e_issued = self.e_issued
-        e_whl = self.e_whl
-        e_hi_ready = self.e_hi_ready
-        e_value_ready = self.e_value_ready
-        for tok in self.issue_queue:
-            i = tok & IDX_MASK
-            if e_seq[i] != tok >> SEQ_SHIFT or e_issued[i]:
-                continue  # squashed (slot recycled) or in flight
-            reexec = e_reexec[i]
-            if e_completed[i] and reexec is None:
-                continue
-            if reexec is not None:
-                if reexec <= no_skip:
-                    return no_skip
-                if reexec < bound:
-                    bound = reexec
-                continue
-            # Never executed: waiting on operands (or disambiguation).
-            if self.e_is_load[i] and (self.e_addr_reused[i]
-                                      or self.e_addr_predicted[i]):
-                return no_skip  # can issue on the predicted address
-            waiting_on_event = False
-            for reg, p in self.e_producers[i].items():
-                ready = (e_hi_ready[p] if reg == REG_HI and e_whl[p]
-                         else e_value_ready[p])
-                if ready is None:
-                    waiting_on_event = True
-                    break
-            if not waiting_on_event:
-                return no_skip  # all operands broadcast: issue imminent
-        return bound
-
     # ---------------------------------------------------------------- events --
 
     def _schedule(self, cycle: int, kind: int, i: int) -> None:
@@ -536,10 +381,10 @@ class OutOfOrderCore:
                 profile.events_processed += 1
             if e_seq[i] != seq:
                 continue  # the op was squashed; the slot may be recycled
-            if kind == _EVENT_COMPLETE:
+            if kind == EVENT_COMPLETE:
                 if e_completes_at[i] == cycle and e_issued[i]:
                     self._on_complete(i)
-            elif kind == _EVENT_RESOLVE:
+            elif kind == EVENT_RESOLVE:
                 if not self.e_resolved[i]:
                     taken, target = self._final_resolution(i)
                     self._resolve_control(i, taken, target, final=True)
@@ -810,8 +655,8 @@ class OutOfOrderCore:
         queue = self.issue_queue
         if not queue:
             return
-        # Re-adds of older ops mark the queue dirty; the kernel re-sorts
-        # once here (token order == seq order) before the scan.
+        # Re-adds of older ops mark the queue dirty; the wakeup queue
+        # re-sorts once here (token order == seq order) before the scan.
         self._wakeq.ensure_sorted()
         cycle = self.cycle
         width = self.config.issue_width
@@ -950,7 +795,7 @@ class OutOfOrderCore:
             e_in_iq[i] = False
             issued += 1
         # The scan's survivor list becomes the queue; keep the borrowed
-        # ``issue_queue`` alias pointing at the kernel's backing list.
+        # ``issue_queue`` alias pointing at the wakeup queue's list.
         self._wakeq.replace(keep)
         self.issue_queue = keep
 
@@ -1053,7 +898,7 @@ class OutOfOrderCore:
                     self.stats.dcache_accesses += 1
         completes = cycle + latency
         self.e_completes_at[i] = completes
-        self._schedule(completes, _EVENT_COMPLETE, i)
+        self._schedule(completes, EVENT_COMPLETE, i)
 
     def _store_address(self, i: int) -> int:
         values = self.e_irv[i]
@@ -1362,7 +1207,7 @@ class OutOfOrderCore:
                 taken, target = self._final_resolution(i)
                 self._resolve_control(i, taken, target, final=True)
             else:
-                self._schedule(when, _EVENT_RESOLVE, i)
+                self._schedule(when, EVENT_RESOLVE, i)
 
         e_seq = self.e_seq
         e_issued = self.e_issued

@@ -40,7 +40,7 @@ class FetchUnit:
         self.stall_until = 0  # I-cache miss in progress
         self.blocked = False  # unknown next PC (unpredicted indirect/halt)
         self.fetched = 0
-        # Stepped cycles in which fetch could not proceed at all (blocked
+        # Cycles in which fetch could not proceed at all (blocked
         # on a redirect or inside an I-cache miss).  Telemetry-only: not
         # part of SimStats, so golden byte-identity is untouched.
         self.stall_cycles = 0
@@ -58,9 +58,6 @@ class FetchUnit:
         self.blocked = False
         self.stall_until = max(self.stall_until, cycle + 1)
         self._vfr_slow_cycle = -1  # the throttling branch is gone
-
-    def room(self) -> int:
-        return self.config.fetch_queue_size - len(self.queue)
 
     def step(self, cycle: int) -> int:
         """Fetch up to ``fetch_width`` instructions; returns how many."""

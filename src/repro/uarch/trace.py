@@ -139,12 +139,14 @@ class PipelineTracer:
         correct = None
         if op.predicted:
             correct = op.predicted_value == op.outcome.result
+        complete = op.last_completion_cycle
+        assert complete is not None, "an op commits only once completed"
         self.records.append(TraceRecord(
             pc=op.inst.pc,
             text=format_instruction(op.inst),
             dispatch=op.dispatch_cycle,
             issue=op.issue_cycle,
-            complete=op.last_completion_cycle,
+            complete=complete,
             commit=cycle,
             executions=op.exec_count,
             reused=op.reused,

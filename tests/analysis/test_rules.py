@@ -274,61 +274,6 @@ def test_non_cli_module_needs_no_guard(lint_one):
     assert not rules_hit(findings, "main-guard")
 
 
-# -- kernel-purity ----------------------------------------------------------------
-
-def test_kernel_purity_flags_mypyc_hostile_patterns(lint_one):
-    findings = lint_one("repro/uarch/_kernel/mod.py", """\
-        _SCRATCH = []
-        TABLE: dict = {}
-
-        def hot(a, **extras):
-            return getattr(a, "field")
-
-        def no_return_annotation(x: int):
-            setattr(x, "y", 1)
-    """)
-    messages = [f.message for f in rules_hit(findings, "kernel-purity")]
-    assert len(messages) == 8  # hot() also lacks a return annotation
-    assert any("_SCRATCH" in m and "a list" in m for m in messages)
-    assert any("TABLE" in m and "a dict" in m for m in messages)
-    assert any("**extras" in m for m in messages)
-    assert any("unannotated parameter(s) a" in m for m in messages)
-    assert any("getattr()" in m for m in messages)
-    assert any("setattr()" in m for m in messages)
-    assert any("no_return_annotation() has no return annotation" in m
-               for m in messages)
-
-
-def test_kernel_purity_accepts_the_sanctioned_idiom(lint_one):
-    findings = lint_one("repro/uarch/_kernel/mod.py", """\
-        from typing import List, Tuple
-
-        SHIFT: int = 20
-        NAMES: Tuple[str, ...] = ("a", "b")
-
-
-        class Pool:
-            slots: List[int]
-
-            def __init__(self, capacity: int) -> None:
-                self.slots = [0] * capacity
-
-            def alloc(self, seq: int, *, cycle: int) -> int:
-                return seq + cycle
-    """)
-    assert not rules_hit(findings, "kernel-purity")
-
-
-def test_kernel_purity_scoped_to_kernel_package(lint_one):
-    findings = lint_one("repro/uarch/mod.py", """\
-        _CACHE = {}
-
-        def loose(a, **kw):
-            return getattr(a, "x")
-    """)
-    assert not rules_hit(findings, "kernel-purity")
-
-
 # -- monotonic-tracing ------------------------------------------------------------
 
 def test_wallclock_flagged_in_tracing_modules(lint_one):

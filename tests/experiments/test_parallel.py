@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments import ExperimentRunner
 from repro.experiments.configs import BASE, IR_EARLY, vp_magic
-from repro.experiments.locking import FileLock
+from repro.util.locking import FileLock
 from repro.metrics.stats import SimStats
 from repro.workloads import get_workload, workload_names
 
@@ -284,7 +284,7 @@ class TestFileLock:
 import sys
 sys.path.insert(0, {SRC_DIR!r})
 from pathlib import Path
-from repro.experiments.locking import FileLock
+from repro.util.locking import FileLock
 counter = Path({str(tmp_path / "counter")!r})
 for _ in range(25):
     with FileLock({str(tmp_path / "counter.lock")!r}):

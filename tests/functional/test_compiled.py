@@ -10,7 +10,9 @@ on, over random — terminating-by-construction — programs:
   after **every** committed instruction;
 * the outcome-free fast-forward lane (``run``): identical final state
   and retired-instruction count as the interpreted run, including when
-  the budget lands exactly on, before, or after the halt.
+  the budget lands exactly on, before, or after the halt;
+* the ``run_ff`` driver behind that lane reports the right
+  (pc, executed, status) triple for each way a run can stop.
 """
 
 import pytest
@@ -19,7 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import assemble
-from repro.functional.simulator import FunctionalSimulator, SimulationError
+from repro.functional import ffexec
+from repro.functional.compiled import CompiledProgram, HALT
+from repro.functional.simulator import (
+    ArchState,
+    FunctionalSimulator,
+    SimulationError,
+)
 from repro.workloads.random_program import random_program
 
 MAX_STEPS = 100_000  # far above any generated program's runtime
@@ -84,3 +92,41 @@ def test_bad_pc_raises_in_both_lanes():
         sim.state.pc = bad_pc
         with pytest.raises(SimulationError):
             sim.step()
+
+
+def test_run_ff_statuses_and_state():
+    program = assemble("""
+    main: li $t0, 3
+    loop: addi $t0, $t0, -1
+          bnez $t0, loop
+          halt
+    """)
+    compiled = CompiledProgram(program)
+
+    # Budget exhausted strictly before the halt.
+    state = ArchState(program)
+    pc, executed, status = ffexec.run_ff(
+        compiled.ff_entry, HALT, state, state.pc, 2, False)
+    assert (executed, status) == (2, ffexec.FF_BUDGET)
+
+    # Run into the halt; the PC parks on it either way, and
+    # execute_halt picks the caller's counting convention.
+    state = ArchState(program)
+    pc, executed, status = ffexec.run_ff(
+        compiled.ff_entry, HALT, state, state.pc,
+        ffexec.FF_UNBOUNDED, False)
+    assert status == ffexec.FF_HALT
+    assert executed == 7  # li + 3x(addi, bnez)
+    halt_pc = pc
+    state = ArchState(program)
+    pc2, executed2, status2 = ffexec.run_ff(
+        compiled.ff_entry, HALT, state, state.pc,
+        ffexec.FF_UNBOUNDED, True)
+    assert (pc2, executed2, status2) == (halt_pc, 8, ffexec.FF_HALT)
+
+    # A PC with no instruction reports FF_BAD_PC (raising is the
+    # caller's job).
+    state = ArchState(program)
+    pc3, executed3, status3 = ffexec.run_ff(
+        lambda _pc: None, HALT, state, state.pc, 5, False)
+    assert (executed3, status3) == (0, ffexec.FF_BAD_PC)

@@ -44,14 +44,13 @@ class TestHistoryHygiene:
         assert "speedup_vs_seed" not in \
             normalize_core_entry({"current_ips": 30.0}, seed_ips=0.0)
 
-    def test_normalize_core_history_covers_both_legs(self):
+    def test_normalize_core_history_backfills_every_entry(self):
         record = normalize_core_history({
             "seed_ips": 10.0,
-            "history": [{"current_ips": 15.0}],
-            "history_compiled": [{"current_ips": 40.0}],
+            "history": [{"current_ips": 15.0}, {"current_ips": 40.0}],
         })
-        assert record["history"][0]["speedup_vs_seed"] == 1.5
-        assert record["history_compiled"][0]["speedup_vs_seed"] == 4.0
+        assert [entry["speedup_vs_seed"]
+                for entry in record["history"]] == [1.5, 4.0]
 
 
 class TestTrendFlag:
@@ -113,14 +112,6 @@ class TestTables:
         notes = " ".join(table.notes)
         assert "telemetry_overhead 1.14x" in notes
         assert "tracing_overhead 1.1x" in notes
-
-    def test_core_trend_compiled_leg(self):
-        record = dict(CORE_RECORD)
-        record["history_compiled"] = [
-            {"current_ips": 450.0, "compiled_speedup": 3.0}]
-        interp, compiled = core_trend(record)
-        assert "compiled" in compiled.title
-        assert compiled.rows[0][3] == 3.0  # x interpreted column
 
     def test_sweep_trend_flags_second_increase(self):
         table, = sweep_trend(SWEEP_RECORD)

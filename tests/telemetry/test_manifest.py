@@ -51,17 +51,6 @@ class TestRunManifest:
         for field in ("host", "python", "package_version", "created_unix"):
             assert field in manifest
 
-    def test_backend_recorded(self):
-        """Provenance pins which kernel backend produced the result."""
-        from repro.backend import get_backend
-        manifest = sample_run_manifest()
-        backend = get_backend()
-        assert manifest["backend"] == backend.name
-        assert manifest["backend"] in ("python", "compiled")
-        assert manifest["backend_extension"] == backend.extension_version
-        if manifest["backend"] == "python":
-            assert manifest["backend_extension"] == ""
-
     def test_stats_block_optional(self):
         assert "stats" not in sample_run_manifest()
 

@@ -17,9 +17,8 @@ three load-bearing invariants directly, without a core in the loop:
   track alloc/retire/free exactly, and a full in-flight population must
   equal the ROB+wrong-path population the core reports.
 
-Every test runs once per available kernel backend (``python`` always;
-``compiled`` too when the mypyc extension is built), so the invariants
-are pinned on both implementations, not just the interpreted one.
+A fresh slot must also match the declarative ``_SCALAR_DEFAULTS`` table,
+the spec of the field-by-field reset code in ``_grow`` and ``free``.
 """
 
 import pytest
@@ -27,28 +26,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.backend import available_backends, use
 from repro.isa import assemble
 from repro.uarch.config import base_config, hybrid_config, vp_config
 from repro.uarch.core import OutOfOrderCore
-from repro.uarch.entry import _SCALAR_DEFAULTS, IDX_MASK, SEQ_SHIFT
+from repro.uarch.entry import _SCALAR_DEFAULTS, IDX_MASK, SEQ_SHIFT, EntryPool
 from repro.workloads.random_program import random_program
-
-BACKENDS = available_backends()
-
-each_backend = pytest.mark.parametrize("backend_name", BACKENDS)
-
-
-def _make_pool(backend_name, capacity):
-    with use(backend_name) as active:
-        return active.entry_pool.EntryPool(capacity)
-
-
-def _make_core(backend_name, config, program, cls=OutOfOrderCore):
-    # The core snapshots the backend at construction; running it later
-    # outside the context keeps using the same kernel modules.
-    with use(backend_name):
-        return cls(config, program)
 
 #: Identity fields: written unconditionally by every alloc, so free()
 #: deliberately leaves them stale (seq_of is the exception — it is the
@@ -126,19 +108,18 @@ def _smudge(pool, i):
 # ---------------------------------------------------------------- aliasing --
 
 
-@each_backend
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(st.integers(0, 2), min_size=1, max_size=200),
        capacity=st.integers(1, 8))
-def test_tokens_never_alias_across_recycling(backend_name, ops, capacity):
+def test_tokens_never_alias_across_recycling(ops, capacity):
     """No recycling pattern can make a stale token validate.
 
     Ops: 0 = alloc, 1 = free oldest live, 2 = free newest live.  Every
     token ever issued is remembered; at each step exactly the tokens of
     currently-live allocations may validate.
     """
-    pool = _make_pool(backend_name, capacity)
+    pool = EntryPool(capacity)
     seq = 0
     live = {}  # token -> slot
     dead = set()
@@ -162,13 +143,12 @@ def test_tokens_never_alias_across_recycling(backend_name, ops, capacity):
     assert len(pool.free_list) == pool.capacity - len(live)
 
 
-@each_backend
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(rounds=st.integers(1, 300))
-def test_recycled_ids_never_collide_with_live(backend_name, rounds):
+def test_recycled_ids_never_collide_with_live(rounds):
     """A LIFO-recycled id reused immediately still gets a unique token."""
-    pool = _make_pool(backend_name, 2)
+    pool = EntryPool(2)
     seq = 0
     prev_tok = None
     for _ in range(rounds):
@@ -185,13 +165,22 @@ def test_recycled_ids_never_collide_with_live(backend_name, rounds):
 # ------------------------------------------------------------ array reset --
 
 
-@each_backend
+def test_fresh_slots_match_scalar_defaults():
+    """The explicit ``_grow`` matches the ``_SCALAR_DEFAULTS`` spec table."""
+    pool = EntryPool(8)
+    for field, default in _SCALAR_DEFAULTS:
+        column = getattr(pool, field)
+        assert len(column) == 8, field
+        for value in column:
+            assert value == default, field
+            assert type(value) is type(default), field
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.integers(0, 3), retire_first=st.booleans(),
        data=st.data())
-def test_free_restores_pristine_state(backend_name, kind, retire_first,
-                                      data):
+def test_free_restores_pristine_state(kind, retire_first, data):
     """After free(), a slot is indistinguishable from a never-used one.
 
     This is the squash-as-array-reset property: the core's recovery
@@ -199,7 +188,7 @@ def test_free_restores_pristine_state(backend_name, kind, retire_first,
     reset must cover every field an execution could have dirtied —
     including the gated groups, which stay on in a bare pool.
     """
-    pool = _make_pool(backend_name, 4)
+    pool = EntryPool(4)
     assert pool.reset_vp and pool.reset_ir and pool.reset_reexec
     i = pool.alloc(1, _KINDS[kind], None, cycle=5)
     _smudge(pool, i)
@@ -219,17 +208,15 @@ def test_free_restores_pristine_state(backend_name, kind, retire_first,
     assert pool.producers[j] == {}
 
 
-@each_backend
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), size=st.integers(10, 50),
        config=st.sampled_from([base_config, vp_config, hybrid_config]))
-def test_squash_leaves_only_preserved_state(backend_name, seed, size,
-                                            config):
+def test_squash_leaves_only_preserved_state(seed, size, config):
     """After a full run, every non-live slot in the core's pool is
     pristine: each squash range was restored by pure array resets."""
     program = assemble(random_program(seed, size=size))
-    core = _make_core(backend_name, config(), program)
+    core = OutOfOrderCore(config(), program)
     core.run(max_cycles=200_000)
     pool = core.pool
     live = set(core.rob)
@@ -263,27 +250,23 @@ class _OccupancyCore(OutOfOrderCore):
                  self.pool.live, self.pool.pinned))
 
 
-@each_backend
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**18), size=st.integers(10, 60),
        config=st.sampled_from([base_config, vp_config, hybrid_config]))
-def test_pool_occupancy_matches_rob(backend_name, seed, size, config):
+def test_pool_occupancy_matches_rob(seed, size, config):
     program = assemble(random_program(seed, size=size))
-    core = _make_core(backend_name, config(), program,
-                      cls=_OccupancyCore)
+    core = _OccupancyCore(config(), program)
     core.run(max_cycles=200_000)
     assert not core.mismatches, core.mismatches[:5]
     assert core.pool.live == 0, "run ended with leaked live slots"
 
 
-@each_backend
-def test_telemetry_occupancy_rows_match_pool(backend_name):
+def test_telemetry_occupancy_rows_match_pool():
     """The interval rows telemetry writes sample len(core.rob) — the
     quantity test_pool_occupancy_matches_rob proves equals pool.live."""
     program = assemble(random_program(3, size=40))
-    core = _make_core(backend_name, base_config(), program,
-                      cls=_OccupancyCore)
+    core = _OccupancyCore(base_config(), program)
     core.enable_telemetry(interval=16, events=False)
     core.run(max_cycles=200_000)
     assert not core.mismatches

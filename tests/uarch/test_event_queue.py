@@ -1,10 +1,9 @@
 """Property-based invariants of the event-driven scheduler.
 
 The event-driven core replaced the per-cycle ROB/FU scan with a
-completion-event heap, a wakeup (issue) queue, and a cycle-skip
-fast-forward.  These tests pin the invariants that rewrite relies on,
-over random — but terminating-by-construction — programs and every
-machine configuration:
+completion-event heap and a wakeup (issue) queue.  These tests pin the
+invariants that rewrite relies on, over random — but
+terminating-by-construction — programs and every machine configuration:
 
 * an instruction never begins execution before every register operand
   has been broadcast; loads issuing on a reused or predicted effective
@@ -12,11 +11,7 @@ machine configuration:
   register resolves is the whole point of address reuse/prediction);
 * every writeback fires at exactly the completion cycle it was
   scheduled for, and writebacks are processed in strictly increasing
-  ``(cycle, seq)`` order — the heap never reorders or loses an event;
-* the cycle-skip fast-forward never jumps onto or past a scheduled
-  event, so no event can ever fire late;
-* cycle-skip is observationally invisible: ``SimStats.canonical_json``
-  is byte-identical with fast-forward on and off.
+  ``(cycle, seq)`` order — the heap never reorders or loses an event.
 """
 
 from collections import defaultdict
@@ -34,7 +29,8 @@ from repro.uarch.config import (
     ir_config,
     vp_config,
 )
-from repro.uarch.core import _EVENT_COMPLETE, OutOfOrderCore
+from repro.uarch.core import OutOfOrderCore
+from repro.uarch.events import EVENT_COMPLETE
 from repro.workloads.random_program import random_program
 
 MAX_CYCLES = 200_000  # far above any generated program's runtime
@@ -58,7 +54,7 @@ class InstrumentedCore(OutOfOrderCore):
         self.completion_log = []  # (cycle, seq) in processing order
 
     def _schedule(self, cycle, kind, i):
-        if kind == _EVENT_COMPLETE:
+        if kind == EVENT_COMPLETE:
             self._scheduled[self.e_seq[i]].append(cycle)
         super()._schedule(cycle, kind, i)
 
@@ -84,15 +80,6 @@ class InstrumentedCore(OutOfOrderCore):
         self.completion_log.append((self.cycle, seq))
         super()._on_complete(i)
 
-    def _fast_forward(self, max_cycles):
-        before = self.cycle
-        super()._fast_forward(max_cycles)
-        if self.cycle > before and self.events \
-                and self.events[0][0] <= self.cycle:
-            self.violations.append(
-                f"fast-forward jumped {before} -> {self.cycle} past the "
-                f"event scheduled for cycle {self.events[0][0]}")
-
 
 def _run_instrumented(seed, size, factory):
     program = assemble(random_program(seed, size=size))
@@ -107,7 +94,7 @@ def _run_instrumented(seed, size, factory):
 @given(seed=st.integers(0, 2**20), size=st.integers(10, 60),
        config=st.sampled_from(CONFIGS))
 def test_scheduler_invariants(seed, size, config):
-    """Operand readiness, exact-cycle writeback, and skip bounds hold."""
+    """Operand readiness and exact-cycle writeback hold."""
     name, factory = config
     core = _run_instrumented(seed, size, factory)
     assert not core.violations, \
@@ -133,22 +120,3 @@ def test_writeback_order_matches_completion_cycles(seed, size, config):
     for earlier, later in zip(log, log[1:]):
         assert earlier < later, \
             f"writeback order violated: {earlier} processed before {later}"
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**20), size=st.integers(10, 60),
-       config=st.sampled_from(CONFIGS))
-def test_cycle_skip_is_observationally_invisible(seed, size, config):
-    """fast_forward on/off produce byte-identical canonical stats."""
-    _, factory = config
-    program_text = random_program(seed, size=size)
-
-    skipping = OutOfOrderCore(factory(), assemble(program_text))
-    skipping.run(max_cycles=MAX_CYCLES)
-
-    stepping = OutOfOrderCore(factory(), assemble(program_text))
-    stepping.fast_forward = False
-    stepping.run(max_cycles=MAX_CYCLES)
-
-    assert skipping.stats.canonical_json() == stepping.stats.canonical_json()
