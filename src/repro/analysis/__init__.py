@@ -17,7 +17,7 @@ Layout:
   ``docs/static-analysis.md``);
 * :mod:`repro.analysis.tables` — the cross-table exhaustiveness checker
   (opcode table vs assembler vs compiled semantics vs FU pools);
-* :mod:`repro.analysis.reporters` — stable text/JSON output;
+* :mod:`repro.analysis.reporters` — stable text/JSON/SARIF output;
 * :mod:`repro.analysis.cli` — the ``repro-lint`` console entry point.
 """
 

@@ -66,19 +66,9 @@ class Finding:
         }
 
 
-#: Comment tag of the per-file tier.  The flow tier reuses the same
-#: grammar under its own tag, so each tier only sees — and only
-#: reports hygiene findings for — its own exemption comments.
-DEFAULT_WAIVER_TAG = "repro-lint"
-
-
-def _waive_re(tag: str) -> "re.Pattern[str]":
-    return re.compile(
-        rf"#\s*{re.escape(tag)}:\s*(waive|waive-file)\[([A-Za-z0-9_-]+)\]"
-        r"(?:\s*--\s*(.*\S))?")
-
-
-_WAIVE_RES: Dict[str, "re.Pattern[str]"] = {}
+_WAIVE_RE = re.compile(
+    r"#\s*repro-lint:\s*(waive|waive-file)\[([A-Za-z0-9_-]+)\]"
+    r"(?:\s*--\s*(.*\S))?")
 
 
 @dataclass
@@ -110,19 +100,12 @@ class Waivers:
                     yield line, rule
 
 
-def parse_waivers(source: str, tag: str = DEFAULT_WAIVER_TAG) -> Waivers:
-    """Extract *tag*-prefixed waiver comments from *source*
-    (tokenize-accurate).
+def parse_waivers(source: str) -> Waivers:
+    """Extract the waiver comments from *source* (tokenize-accurate).
 
-    For the default ``repro-lint`` tag any comment mentioning the tag
-    that fails the grammar is an error; for other tags only comments
-    that look like waivers (mention both the tag and ``waive``) are,
-    because those tags may carry further comment roles of their own
-    (the flow tier's ``sanitizer``/``guard``/``sink`` annotations).
+    Any comment mentioning ``repro-lint`` that fails the grammar is an
+    error.
     """
-    if tag not in _WAIVE_RES:
-        _WAIVE_RES[tag] = _waive_re(tag)
-    waive_re = _WAIVE_RES[tag]
     waivers = Waivers()
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -131,13 +114,11 @@ def parse_waivers(source: str, tag: str = DEFAULT_WAIVER_TAG) -> Waivers:
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
-        match = waive_re.search(token.string)
+        match = _WAIVE_RE.search(token.string)
         if match is None:
-            mentioned = tag in token.string and (
-                tag == DEFAULT_WAIVER_TAG or "waive" in token.string)
-            if mentioned:
+            if "repro-lint" in token.string:
                 waivers.errors.append(
-                    (token.start[0], f"unparseable {tag} comment"))
+                    (token.start[0], "unparseable repro-lint comment"))
             continue
         kind, rule, reason = match.groups()
         if not reason:
@@ -166,21 +147,6 @@ class ModuleInfo:
     source: str
     tree: ast.Module
     waivers: Waivers
-
-    @property
-    def package(self) -> Tuple[str, ...]:
-        """Directory components of :attr:`relpath` (no filename)."""
-        return tuple(self.relpath.split("/")[:-1])
-
-    @property
-    def module_name(self) -> str:
-        """Dotted module path, e.g. ``repro.uarch.core``."""
-        parts = self.relpath.split("/")
-        parts[-1] = parts[-1][:-3] if parts[-1].endswith(".py") \
-            else parts[-1]
-        if parts[-1] == "__init__":
-            parts.pop()
-        return ".".join(parts)
 
     def in_package(self, *prefixes: str) -> bool:
         """True when the module lives under any ``repro.<prefix>``."""
@@ -279,9 +245,9 @@ class Analyzer:
             raise ValueError(f"duplicate rule ids in {ids}")
         self.rules: List[Rule] = list(rules)
 
-    def load_module(self, path: Path, root: Path) -> Optional[ModuleInfo]:
-        """Parse one file; ``None`` (never an exception) on bad syntax —
-        a syntax error is reported as a finding by :meth:`run`."""
+    def load_module(self, path: Path, root: Path) -> ModuleInfo:
+        """Parse one file.  Raises :class:`SyntaxError` on bad syntax,
+        which :meth:`run` reports as a ``syntax-error`` finding."""
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
         relpath = path.relative_to(root).as_posix()
@@ -317,7 +283,6 @@ class Analyzer:
                         relpath, exc.lineno or 0, "syntax-error",
                         f"file does not parse: {exc.msg}"))
                     continue
-                assert module is not None
                 findings.extend(
                     self._check_module(module, module_rules))
             for rule in project_rules:

@@ -3,8 +3,7 @@
 All formats are deterministic functions of the findings: sorted input
 (the analyzer sorts), no timestamps, no absolute paths — two runs over
 the same tree produce byte-identical output, so reports can themselves
-be diffed or cached.  The renderers are shared by both analysis tiers
-(``repro-lint`` and ``repro-flow``); *tool* names the producing tier.
+be diffed or cached.
 """
 
 from __future__ import annotations
@@ -23,13 +22,8 @@ SCHEMA_VERSION = 2
 SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
-
-def _format_name(tool: str) -> str:
-    return f"{tool}-v1"
-
-
-#: The tier-1 format marker (kept for backward compatibility).
-REPORT_FORMAT = _format_name("repro-lint")
+#: The ``format`` marker of the JSON payload.
+REPORT_FORMAT = "repro-lint-v1"
 
 
 def render_text(report: Report, show_waived: bool = False) -> str:
@@ -52,10 +46,10 @@ def render_text(report: Report, show_waived: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: Report, tool: str = "repro-lint") -> str:
+def render_json(report: Report) -> str:
     """Machine-readable report (sorted keys, stable ordering)."""
     payload: Dict[str, object] = {
-        "format": _format_name(tool),
+        "format": REPORT_FORMAT,
         "schema_version": SCHEMA_VERSION,
         "files_checked": report.files_checked,
         "rules_run": sorted(report.rules_run),
@@ -70,7 +64,7 @@ def render_json(report: Report, tool: str = "repro-lint") -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def render_sarif(report: Report, tool: str = "repro-lint",
+def render_sarif(report: Report,
                  rules: Optional[Sequence[Tuple[str, str]]] = None
                  ) -> str:
     """SARIF 2.1.0 report (the format CI code-scanning uploads eat).
@@ -111,7 +105,7 @@ def render_sarif(report: Report, tool: str = "repro-lint",
         "version": SARIF_VERSION,
         "runs": [{
             "tool": {"driver": {
-                "name": tool,
+                "name": "repro-lint",
                 "rules": [{
                     "id": rule_id,
                     "shortDescription": {"text": catalogue[rule_id]},

@@ -11,19 +11,15 @@ making silent convention drift loud is.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional
 
-from .core import Finding, ModuleInfo, Rule, Severity
+from .core import Finding, ModuleInfo, Rule
 from .tables import CrossTableRule
 
 #: Packages holding the simulation model proper: anything here runs
 #: inside a simulated machine and must be bit-deterministic.
 DETERMINISM_PACKAGES = ("uarch", "functional", "isa", "vp", "reuse",
                         "redundancy")
-
-#: The determinism packages plus workload generators (which may use
-#: randomness, but only explicitly seeded ``random.Random(seed)``).
-SEEDED_RANDOM_PACKAGES = DETERMINISM_PACKAGES + ("workloads",)
 
 
 def _import_map(tree: ast.Module) -> Dict[str, str]:
@@ -165,61 +161,6 @@ class MonotonicTimeRule(Rule):
                         "never depend on the host wallclock")
 
 
-class NoUnseededRandomRule(Rule):
-    """Randomness in model/workload code must be explicitly seeded.
-
-    The module-level ``random.*`` functions share one ambient generator
-    seeded from the OS; ``random.Random()`` without arguments does the
-    same.  Both make a run irreproducible.  ``random.Random(seed)`` is
-    the sanctioned form.  ``os.urandom``/``uuid.uuid4``/``secrets`` are
-    flagged outright.
-    """
-
-    id = "no-unseeded-random"
-    description = ("model/workload packages may only use seeded "
-                   "random.Random(seed); no ambient randomness")
-
-    _BANNED = ("os.urandom", "uuid.uuid4", "uuid.uuid1")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_package(*SEEDED_RANDOM_PACKAGES):
-            return
-        imports = _import_map(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module == "random":
-                wanted = [a.name for a in node.names if a.name != "Random"]
-                if wanted:
-                    yield self.finding(
-                        module, node,
-                        f"from random import {', '.join(wanted)}: "
-                        "module-level random functions use the ambient "
-                        "(unseeded) generator")
-            if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module == "secrets":
-                yield self.finding(module, node,
-                                   "secrets is never deterministic")
-            if not isinstance(node, ast.Call):
-                continue
-            origin = _resolve(node.func, imports)
-            if origin is None:
-                continue
-            if origin in self._BANNED or origin.startswith("secrets."):
-                yield self.finding(module, node,
-                                   f"{origin} is never deterministic")
-            elif origin == "random.Random":
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        module, node,
-                        "random.Random() without a seed is OS-seeded; "
-                        "pass an explicit seed")
-            elif origin.startswith("random."):
-                yield self.finding(
-                    module, node,
-                    f"{origin}() uses the ambient (unseeded) generator; "
-                    "use an explicit random.Random(seed) instance")
-
-
 class SortedSerializationRule(Rule):
     """Serialized bytes must not depend on dict/set iteration order.
 
@@ -319,19 +260,26 @@ class NoBuiltinHashRule(Rule):
 
 
 class AtomicWriteRule(Rule):
-    """Shared on-disk stores go through the one audited atomic-write
-    path (:func:`repro.util.locking.atomic_write_bytes`).
+    """Files are written only through the audited write paths in
+    ``repro/util/locking.py`` (:func:`atomic_write_bytes`,
+    :func:`atomic_write_text`, :func:`append_line`).
 
-    Any direct use of ``os.replace``/``os.rename``/``tempfile.mkstemp``/
-    ``tempfile.NamedTemporaryFile`` outside ``repro/util`` is a
-    hand-rolled variant of that path: it either duplicates the
-    discipline (drift risk) or gets it subtly wrong (readers observing
-    partial files, leaked temp files on error).
+    Outside ``repro/util`` two kinds of call are flagged:
+
+    * a hand-rolled variant of the atomic path —
+      ``os.replace``/``os.rename``/``tempfile.mkstemp``/
+      ``tempfile.NamedTemporaryFile`` — which either duplicates the
+      discipline (drift risk) or gets it subtly wrong (leaked temp
+      files on error);
+    * a raw write — ``.write_text``/``.write_bytes``, or ``open``/
+      ``io.open``/``os.fdopen``/``Path.open`` in a write mode — which
+      lets a concurrent reader, or the next run after a crash, observe
+      a partial file.
     """
 
     id = "atomic-write"
-    description = ("tempfile/os.replace outside repro.util: use "
-                   "util.locking.atomic_write_text/bytes")
+    description = ("raw writes and tempfile/os.replace outside "
+                   "repro.util: use util.locking.atomic_write_text/bytes")
 
     _BANNED = ("os.replace", "os.rename", "tempfile.mkstemp",
                "tempfile.NamedTemporaryFile", "tempfile.mktemp")
@@ -350,6 +298,55 @@ class AtomicWriteRule(Rule):
                     f"{origin} outside repro.util: shared stores must "
                     "use repro.util.locking.atomic_write_text/bytes "
                     "(one audited tempfile+replace path)")
+                continue
+            raw = _raw_write(node, origin, imports)
+            if raw is not None:
+                yield self.finding(
+                    module, node,
+                    f"raw write {raw} outside repro.util: a reader can "
+                    "observe a partial file; use repro.util.locking."
+                    "atomic_write_text/bytes (append_line for logs)")
+
+
+#: ``open``-style functions taking the mode as their second argument.
+_OPEN_FUNCTIONS = ("open", "io.open", "os.fdopen")
+
+
+def _raw_write(call: ast.Call, origin: Optional[str],
+               imports: Dict[str, str]) -> Optional[str]:
+    """How *call* writes a file directly (``"open()"``,
+    ``".write_text()"``, ...), or ``None`` when it does not.
+
+    A ``.open`` method on a receiver rooted at an imported name
+    (``os.open``, ``gzip.open``) is a module function, not
+    ``Path.open``, and is left alone.
+    """
+    if origin in _OPEN_FUNCTIONS:
+        return f"{origin}()" if _write_mode(call, mode_position=1) \
+            else None
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr in ("write_text", "write_bytes"):
+        return f".{func.attr}()"
+    if func.attr == "open" and _write_mode(call, mode_position=0):
+        receiver = _dotted(func.value)
+        if receiver is None or receiver.split(".")[0] not in imports:
+            return ".open()"
+    return None
+
+
+def _write_mode(call: ast.Call, mode_position: int) -> bool:
+    """True when an ``open``-style call's mode string writes."""
+    mode: Optional[ast.expr] = None
+    if len(call.args) > mode_position:
+        mode = call.args[mode_position]
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return any(c in mode.value for c in "wax+")
+    return False
 
 
 class TelemetryPurityRule(Rule):
@@ -504,7 +501,6 @@ def default_rules() -> List[Rule]:
     return [
         NoWallclockRule(),
         MonotonicTimeRule(),
-        NoUnseededRandomRule(),
         SortedSerializationRule(),
         NoBuiltinHashRule(),
         AtomicWriteRule(),

@@ -150,7 +150,6 @@ def deserialize(blob: bytes) -> WarmState:
     return WarmState(regs, pages, pc, executed, skip, bool(hit_halt))
 
 
-# repro-flow: sink[flow-cache-key-purity] -- warm keys address the shared checkpoint store
 def warm_key(program: Program, skip: int) -> str:
     """Content address of the (program, skip) warm state."""
     hasher = hashlib.sha256()

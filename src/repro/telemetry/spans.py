@@ -244,7 +244,6 @@ def dumps(records: List[Dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# repro-flow: sanitizer[wallclock, rusage, host] -- strips every TIMING_FIELDS/TIMING_ATTRS entry
 def identity_lines(records: List[Dict]) -> str:
     """The canonical JSONL with every timing/host field stripped.
 

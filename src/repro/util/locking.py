@@ -18,10 +18,12 @@ fallback is an ``O_CREAT | O_EXCL`` spin lock with a stale-lock timeout.
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 sanctioned write path for those stores (tempfile in the destination
-directory + ``os.replace``, temp file unlinked on any failure).  The
-``atomic-write`` lint rule (:mod:`repro.analysis.rules`) flags any
-hand-rolled ``tempfile``/``os.replace`` use outside this module, so the
-discipline cannot silently fork.
+directory + ``os.replace``, temp file unlinked on any failure), and
+:func:`append_line` the one for shared append-only logs.  The
+``atomic-write`` lint rule (:mod:`repro.analysis.rules`) flags any raw
+write (``write_text``/``write_bytes``, ``open`` in a write mode) and
+any hand-rolled ``tempfile``/``os.replace`` use outside ``repro/util``,
+so the discipline cannot silently fork.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 STALE_LOCK_SECONDS = 600.0
 
 
-# repro-flow: guard -- holding the flock is what lock-discipline requires
 class FileLock:
     """Context manager: exclusive advisory lock on *path*.
 
@@ -106,7 +107,6 @@ class FileLock:
         self.release()
 
 
-# repro-flow: trusted-write -- this IS the sanctioned atomic write path
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     """Write *data* to *path* so readers never observe a partial file.
 
@@ -131,14 +131,12 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
-# repro-flow: trusted-write -- text front-end of the atomic write path
 def atomic_write_text(path: Union[str, Path], text: str,
                       encoding: str = "utf-8") -> None:
     """Text-mode convenience wrapper over :func:`atomic_write_bytes`."""
     atomic_write_bytes(path, text.encode(encoding))
 
 
-# repro-flow: trusted-write -- O_APPEND single-write is torn-line safe
 def append_line(path: Union[str, Path], line: str,
                 encoding: str = "utf-8") -> None:
     """Append one newline-terminated record to a shared log file.

@@ -5,6 +5,8 @@ stay clean — the clean one being the sanctioned idiom the rule's
 docstring points to.
 """
 
+import pytest
+
 
 def rules_hit(findings, rule_id):
     return [f for f in findings if f.rule == rule_id]
@@ -30,48 +32,6 @@ def test_wallclock_allowed_outside_model_packages(lint_one):
             return time.time()
     """)
     assert not rules_hit(findings, "no-wallclock")
-
-
-# -- no-unseeded-random -----------------------------------------------------------
-
-def test_unseeded_random_flagged(lint_one):
-    findings = lint_one("repro/workloads/mod.py", """\
-        import random
-        from random import choice
-        import os
-
-        def gen():
-            random.shuffle([1, 2])
-            rng = random.Random()
-            return os.urandom(4)
-    """)
-    messages = [f.message for f in rules_hit(findings, "no-unseeded-random")]
-    assert len(messages) == 4
-    assert any("random.shuffle" in m for m in messages)
-    assert any("without a seed" in m for m in messages)
-    assert any("os.urandom" in m for m in messages)
-    assert any("from random import choice" in m for m in messages)
-
-
-def test_seeded_random_is_clean(lint_one):
-    findings = lint_one("repro/workloads/mod.py", """\
-        from random import Random
-
-        def gen(seed):
-            rng = Random(seed)
-            return rng.randrange(10)
-    """)
-    assert not rules_hit(findings, "no-unseeded-random")
-
-
-def test_random_unscoped_outside_model_packages(lint_one):
-    findings = lint_one("repro/metrics/mod.py", """\
-        import random
-
-        def jitter():
-            return random.random()
-    """)
-    assert not rules_hit(findings, "no-unseeded-random")
 
 
 # -- sorted-serialization ---------------------------------------------------------
@@ -167,6 +127,72 @@ def test_helper_call_is_clean(lint_one):
         def store(path, data):
             atomic_write_text(path, data)
     """)
+    assert not rules_hit(findings, "atomic-write")
+
+
+def test_raw_write_in_helper_flagged_at_the_write(lint_one):
+    # A helper raw-writing a path its caller derives from a store
+    # directory is flagged at the write, whoever calls it.
+    findings = lint_one("repro/experiments/store.py", """\
+        def dump(path, payload):
+            path.write_text(payload)
+
+
+        def persist(cache_dir, payload):
+            dump(cache_dir / "results.json", payload)
+    """)
+    hits = rules_hit(findings, "atomic-write")
+    assert [f.line for f in hits] == [2]
+    assert "raw write .write_text()" in hits[0].message
+
+
+RAW_WRITES = {
+    "write_text": "path.write_text(text)",
+    "write_bytes": "path.write_bytes(data)",
+    "open-w": 'open(path, "w")',
+    "open-mode-a": 'open(path, mode="a")',
+    "path-open-x": 'path.open("x")',
+    "io-open-w+": 'io.open(path, "w+")',
+    "os-fdopen-wb": 'os.fdopen(fd, "wb")',
+}
+
+READS = {
+    "open": "open(path)",
+    "open-rb": 'open(path, "rb")',
+    "read_text": "path.read_text()",
+    "os-open": 'os.open("wax.lock", os.O_RDONLY)',
+}
+
+
+def _io_module(call):
+    return f"""\
+        import io
+        import os
+
+        def touch(path, fd, text, data):
+            return {call}
+    """
+
+
+@pytest.mark.parametrize("call", list(RAW_WRITES.values()),
+                         ids=list(RAW_WRITES))
+def test_raw_write_flagged(lint_one, call):
+    findings = lint_one("repro/telemetry/mod.py", _io_module(call))
+    hits = rules_hit(findings, "atomic-write")
+    assert [f.line for f in hits] == [5]
+    assert hits[0].message.startswith("raw write ")
+
+
+@pytest.mark.parametrize("call", list(READS.values()), ids=list(READS))
+def test_reads_are_clean(lint_one, call):
+    findings = lint_one("repro/telemetry/mod.py", _io_module(call))
+    assert not rules_hit(findings, "atomic-write")
+
+
+@pytest.mark.parametrize("call", list(RAW_WRITES.values()),
+                         ids=list(RAW_WRITES))
+def test_raw_write_allowed_in_util(lint_one, call):
+    findings = lint_one("repro/util/mod.py", _io_module(call))
     assert not rules_hit(findings, "atomic-write")
 
 
