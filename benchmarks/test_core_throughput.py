@@ -71,7 +71,7 @@ REGRESSION_TOLERANCE = 0.05  # FAIL when >5% below the committed number
 
 #: Telemetry-on runs must stay within this factor of telemetry-off
 #: wallclock (the observability promise in docs/telemetry.md).  The
-#: span/progress tracing layer shares the budget.
+#: sweep progress stream shares the budget.
 TELEMETRY_OVERHEAD_LIMIT = 1.5
 
 
@@ -184,7 +184,7 @@ def test_telemetry_overhead_gate():
 
 #: The sweep slice timed by the tracing-overhead gate: a cold jobs=1
 #: fan-out, plain vs fully observed (--telemetry-dir semantics:
-#: interval series + span tracing + live progress).
+#: interval series + live progress).
 TRACING_PAIRS = [("compress", base_config), ("compress", hybrid_config),
                  ("ijpeg", base_config), ("ijpeg", hybrid_config)]
 TRACING_INSTRUCTIONS = 4_000
@@ -212,9 +212,9 @@ def _run_sweep(tmp: Path, traced: bool) -> float:
 
 
 def test_tracing_overhead_gate():
-    """A fully observed sweep (interval series + spans + progress) must
-    stay within the same ``TELEMETRY_OVERHEAD_LIMIT`` budget as the
-    per-run telemetry gate.  Records ``tracing_overhead`` into
+    """A fully observed sweep (interval series + progress) must stay
+    within the same ``TELEMETRY_OVERHEAD_LIMIT`` budget as the per-run
+    telemetry gate.  Records ``tracing_overhead`` into
     ``BENCH_core.json``; warns (never fails) on a budget miss, exactly
     like the other wallclock legs."""
     best_ratio = float("inf")

@@ -100,9 +100,9 @@ class NoWallclockRule(Rule):
 
 
 #: Module basenames (under ``repro/telemetry/``) whose *durations* are
-#: part of the observability contract: span widths and heartbeat ages
+#: part of the observability contract: heartbeat timestamps and ages
 #: must come from monotonic clocks only, never wallclock.
-MONOTONIC_TRACING_MODULES = ("spans.py", "progress.py")
+MONOTONIC_TRACING_MODULES = ("progress.py",)
 
 #: ``time.`` functions that observe wallclock or convert to/from it.
 _WALLCLOCK_TIME_FNS = frozenset((
@@ -113,19 +113,19 @@ _WALLCLOCK_TIME_FNS = frozenset((
 
 
 class MonotonicTimeRule(Rule):
-    """Span/progress timing must be monotonic.
+    """Progress timing must be monotonic.
 
-    The tracing modules (``repro/telemetry/spans.py`` and
-    ``progress.py``) stamp durations and heartbeat ages; a wallclock
-    read there would make span widths jump on NTP steps and tie the
-    byte-stable identity surface to the host clock.  ``time.monotonic``
-    / ``time.perf_counter`` (and ``time.sleep``) are allowed;
-    ``time.time`` and friends, and any ``datetime`` import, are not.
+    The tracing module (``repro/telemetry/progress.py``) stamps
+    heartbeats that a tailing reader turns into ages and an ETA; a
+    wallclock read there would make them jump on NTP steps.
+    ``time.monotonic`` / ``time.perf_counter`` (and ``time.sleep``) are
+    allowed; ``time.time`` and friends, and any ``datetime`` import,
+    are not.
     """
 
     id = "monotonic-tracing"
-    description = ("telemetry tracing modules (spans.py/progress.py) "
-                   "may only read monotonic clocks — no time.time or "
+    description = ("the telemetry tracing module (progress.py) may "
+                   "only read monotonic clocks — no time.time or "
                    "datetime")
 
     def _applies(self, module: ModuleInfo) -> bool:
@@ -149,8 +149,8 @@ class MonotonicTimeRule(Rule):
                     if name == "datetime":
                         yield self.finding(
                             module, node,
-                            "datetime import in a tracing module: span "
-                            "and heartbeat timing must be monotonic")
+                            "datetime import in a tracing module: "
+                            "heartbeat timing must be monotonic")
             elif isinstance(node, ast.Call):
                 origin = _resolve(node.func, imports)
                 if origin in _WALLCLOCK_TIME_FNS:

@@ -101,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="event ring-buffer capacity for "
                              "--trace-out (default 65536; oldest "
                              "events drop first)")
-    parser.add_argument("--spans-out", type=Path, default=None,
-                        metavar="FILE",
-                        help="write a hierarchical span trace of this "
-                             "invocation (root -> per-config job -> "
-                             "warm-restore/simulate phases, with "
-                             "per-job CPU/RSS accounting; canonical "
-                             "JSONL, see docs/telemetry.md)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
                         help="persist warm-state checkpoints here so "
                              "later invocations skip the warm-up "
@@ -147,42 +140,13 @@ def _load_program(args):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import contextlib
-    import time
-
     args = build_parser().parse_args(argv)
     program_fn, skip, label = _load_program(args)
-
-    # Optional span tracing (repro.telemetry.spans): repro-sim has no
-    # result cache, so job keys are synthesized from the invocation
-    # (workload/source, config, budget) — still content-derived, so a
-    # repeated invocation produces identical span identity lines.
-    recorder = parent = trace_id = None
-    job_keys = {}
-    if args.spans_out is not None:
-        from .telemetry.spans import SpanRecorder, span_id, sweep_digest
-        recorder = SpanRecorder()
-        slug = args.workload if args.workload else args.source.stem
-        job_keys = {name: f"sim-{slug}-{name}-i{args.instructions}"
-                    for name in args.config}
-        digest = sweep_digest(list(job_keys.values()))
-        parent = span_id("sweep", digest)
-        trace_id = digest
-    started = time.perf_counter()
-
-    def phase(key, name, job_parent):
-        if recorder is None:
-            return contextlib.nullcontext({})
-        return recorder.measure("phase", key, name, parent=job_parent,
-                                trace=parent)
 
     # One program image for every configuration (it is immutable), and
     # one warm-up: each config restores the captured warm state instead
     # of re-executing the skip (identical statistics either way).
-    # Assembly is shared, so "decode" attaches at the root rather than
-    # to any one config's job.
-    with phase(trace_id, "decode", parent):
-        program = program_fn()
+    program = program_fn()
     checkpoints = None if args.no_checkpoint \
         else CheckpointStore(args.checkpoint_dir)
 
@@ -218,31 +182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 interval=args.telemetry_interval,
                 trace_capacity=args.trace_buffer,
                 events=args.trace_out is not None)
-        if recorder is not None:
-            from .telemetry.spans import span_id
-            job_key = job_keys[name]
-            job_parent = span_id("job", job_key)
-            job = recorder.measure("job", job_key,
-                                   f"{label}/{config.name}",
-                                   parent=parent, trace=trace_id,
-                                   rusage=True)
+        if checkpoints is not None:
+            core.restore_warm(checkpoints.get(program, skip))
         else:
-            job_key = job_parent = None
-            job = contextlib.nullcontext({})
-        with job as job_attrs:
-            with phase(job_key, "warm-restore", job_parent) as warm:
-                if checkpoints is not None:
-                    core.restore_warm(checkpoints.get(program, skip))
-                    warm["checkpoint"] = checkpoints.last_source
-                else:
-                    core.skip(skip)
-                    warm["checkpoint"] = "disabled"
-            with phase(job_key, "simulate", job_parent):
-                stats = core.run(max_cycles=args.max_cycles,
-                                 max_instructions=args.instructions)
-            job_attrs.update({"config": config.name,
-                              "committed": stats.committed,
-                              "cycles": stats.cycles})
+            core.skip(skip)
+        stats = core.run(max_cycles=args.max_cycles,
+                         max_instructions=args.instructions)
         if base_cycles is None:
             base_cycles = stats.cycles
         print(f"{config.name:<22} {stats.cycles:>9} {stats.ipc:>6.2f} "
@@ -273,17 +218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 trace = sink.trace
                 extras.append(f"trace: {len(trace)} events kept "
                               f"({trace.dropped} dropped) -> {out}")
-    if recorder is not None:
-        root = recorder.point(
-            "sweep", trace_id, "repro-sim", trace=trace_id,
-            attrs={"total": len(args.config),
-                   "simulated": len(args.config), "cached": 0,
-                   "jobs": 1})
-        root["t_start"] = recorder.rel(started)
-        root["duration_s"] = round(time.perf_counter() - started, 6)
-        recorder.write(args.spans_out)
-        extras.append(f"spans: {len(recorder.records)} records -> "
-                      f"{args.spans_out}")
     for extra in extras:
         print()
         print(extra.render() if hasattr(extra, "render") else extra)

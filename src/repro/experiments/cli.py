@@ -129,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="CYCLES",
                         help="sampling period for --telemetry-dir "
                              "(default 500 cycles)")
-    parser.add_argument("--no-tracing", action="store_true",
-                        help="with --telemetry-dir: capture interval "
-                             "series only, without span tracing "
-                             "(spans.jsonl) or live progress "
-                             "(progress.jsonl / repro-top)")
     parser.add_argument("--no-manifests", action="store_true",
                         help="do not write per-run/per-sweep provenance "
                              "manifests")
@@ -170,8 +165,6 @@ def main(argv: List[str] | None = None) -> int:
         overrides["telemetry_dir"] = args.telemetry_dir
     if args.telemetry_interval is not None:
         overrides["telemetry_interval"] = args.telemetry_interval
-    if args.no_tracing:
-        overrides["tracing"] = False
     if args.no_manifests:
         overrides["manifests"] = False
     runner = default_runner(**overrides)

@@ -57,10 +57,14 @@ from ..isa.program import Program
 from ..metrics.stats import SimStats
 from ..redundancy.reusability import ReusabilityAnalyzer
 from ..telemetry.progress import PROGRESS_FILE, ProgressWriter
-from ..telemetry.spans import SpanRecorder, span_id, sweep_digest
 from ..uarch.config import MachineConfig
 from ..workloads import WorkloadSpec, all_workloads, get_workload
 from ..util.locking import FileLock, atomic_write_text
+
+try:  # POSIX; without it run manifests carry no CPU/RSS fields.
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    resource = None  # type: ignore[assignment]
 
 CACHE_VERSION = 4
 
@@ -95,10 +99,8 @@ class ExperimentRunner:
                  checkpoint_dir: Optional[Path] = None,
                  use_checkpoints: bool = True,
                  manifests: bool = True,
-                 manifest_dir: Optional[Path] = None,
                  telemetry_dir: Optional[Path] = None,
-                 telemetry_interval: Optional[int] = None,
-                 tracing: Optional[bool] = None):
+                 telemetry_interval: Optional[int] = None):
         self.max_instructions = max_instructions
         self.max_cycles = max_cycles
         self.cache_dir = Path(cache_dir) if cache_dir else None
@@ -106,39 +108,30 @@ class ExperimentRunner:
         self.quiet = quiet
         self.jobs = jobs
         self.mp_start_method = mp_start_method
-        # Run manifests (repro.telemetry.manifest): provenance records
-        # for every simulated pair and every sweep.  They live in a
-        # subdirectory of the result cache — the determinism contract
+        # Run manifests (repro.telemetry.manifest): one provenance and
+        # timing record per simulated pair and per sweep.  They live in
+        # a subdirectory of the result cache — the determinism contract
         # covers the top-level *.json result bytes only, and manifests
         # carry wallclock/host facts that legitimately differ between
         # byte-identical sweeps.
-        if manifest_dir is None and manifests and self.cache_dir is not None:
-            manifest_dir = self.cache_dir / "manifests"
-        self.manifest_dir = Path(manifest_dir) if manifests and manifest_dir \
-            else None
+        self.manifest_dir = (self.cache_dir / "manifests"
+                             if manifests and self.cache_dir is not None
+                             else None)
         # Optional per-run interval telemetry: uncached runs attach a
         # TelemetrySink (interval collector only; no event ring buffer)
         # and write <cache key>.jsonl here.  Cache keys are unchanged, so
-        # capturing telemetry never invalidates existing results.
+        # capturing telemetry never invalidates existing results.  The
+        # live progress stream behind repro-top (repro.telemetry.progress)
+        # goes to the same directory; it is observation-only too
+        # (tests/experiments/test_tracing.py).
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
         self.telemetry_interval = telemetry_interval
-        # Sweep observability (repro.telemetry.spans / .progress):
-        # hierarchical sweep -> job -> phase spans plus the live
-        # progress protocol behind repro-top.  Defaults to on whenever a
-        # telemetry directory is given; pass ``tracing=False`` to
-        # capture interval series without spans (or ``tracing=True``
-        # without a telemetry_dir for in-memory spans only).  Both are
-        # observation-only: spans never enter cache keys and a traced
-        # sweep's cache/SimStats bytes are pinned identical to an
-        # untraced one (tests/experiments/test_tracing.py).
-        self.tracing = ((self.telemetry_dir is not None)
-                        if tracing is None else bool(tracing))
-        self._spans: Optional[SpanRecorder] = (
-            SpanRecorder() if self.tracing else None)
         self._progress: Optional[ProgressWriter] = (
             ProgressWriter(self.telemetry_dir / PROGRESS_FILE)
-            if self.tracing and self.telemetry_dir is not None else None)
-        self._traced_hits: set = set()
+            if self.telemetry_dir is not None else None)
+        # Keys already counted in the progress stream, so a cell asked
+        # for by several experiments is counted once.
+        self._progressed: set = set()
         # Warm-state checkpoints (repro.functional.checkpoint): every
         # configuration of a workload shares one warm-up.  The store
         # defaults to a subdirectory of the result cache so sweeps from
@@ -155,6 +148,24 @@ class ExperimentRunner:
         self._memory_cache: Dict[str, SimStats] = {}
         self._program_cache: Dict[str, Program] = {}
 
+    def settings(self) -> Dict:
+        """The constructor keywords that rebuild this runner: pool
+        workers and runners at other window sizes start from these."""
+        return {
+            "max_instructions": self.max_instructions,
+            "max_cycles": self.max_cycles,
+            "cache_dir": self.cache_dir,
+            "verify": self.verify,
+            "quiet": self.quiet,
+            "jobs": self.jobs,
+            "mp_start_method": self.mp_start_method,
+            "checkpoint_dir": self.checkpoint_dir,
+            "use_checkpoints": self.use_checkpoints,
+            "manifests": self.manifest_dir is not None,
+            "telemetry_dir": self.telemetry_dir,
+            "telemetry_interval": self.telemetry_interval,
+        }
+
     # -- timing runs ------------------------------------------------------------
 
     def run(self, workload: str, config: MachineConfig) -> SimStats:
@@ -163,71 +174,46 @@ class ExperimentRunner:
         key = self._key(spec, config)
         cached = self._load(key)
         if cached is not None:
-            self._trace_cache_hit(key, workload, config)
+            self._progress_cache_hit(key)
             return cached
         with self._lock(key):
             # Another process may have produced the entry while we waited.
             cached = self._load(key)
             if cached is not None:
-                self._trace_cache_hit(key, workload, config)
+                self._progress_cache_hit(key)
                 return cached
-            stats = self._traced_job(key, spec, workload, config)
-        return stats
+            return self._job(key, spec, workload, config)
 
-    def _traced_job(self, key: str, spec: WorkloadSpec, workload: str,
-                    config: MachineConfig) -> SimStats:
-        """One uncached cell: job span (with rusage accounting) around
-        simulate + store, progress records at the edges."""
-        name = f"{workload}/{config.name}"
-        self._traced_hits.add(key)
+    def _job(self, key: str, spec: WorkloadSpec, workload: str,
+             config: MachineConfig) -> SimStats:
+        """One uncached cell: simulate and store it, then write its run
+        manifest with the phase times and the job's resource use."""
         if self._progress is not None:
+            self._progressed.add(key)
             self._progress.job_start(key, workload, config.name)
-        if self._spans is not None:
-            measure = self._spans.measure("job", key, name, rusage=True)
-        else:
-            measure = contextlib.nullcontext({})
+        usage_before = _rusage()
+        phases: Dict[str, float] = {}
         started = time.perf_counter()
-        with measure as attrs:
-            stats = self._simulate(spec, workload, config, key=key)
-            elapsed = time.perf_counter() - started
-            if self._spans is not None:
-                write_phase = self._spans.measure(
-                    "phase", key, "cache-write",
-                    parent=span_id("job", key))
-            else:
-                write_phase = contextlib.nullcontext({})
-            with write_phase:
-                self._store(key, stats)
-                self._write_run_manifest(key, spec, workload, config,
-                                         stats, cache_hit=False,
-                                         wallclock=elapsed)
-            attrs.update({
-                "workload": workload,
-                "config": config.name,
-                "cache_hit": False,
-                "committed": stats.committed,
-                "cycles": stats.cycles,
-                "wall_s": round(elapsed, 6),
-            })
+        stats = self._simulate(spec, workload, config, key, phases)
+        elapsed = time.perf_counter() - started
+        stored = time.perf_counter()
+        self._store(key, stats)
+        phases["cache-write"] = time.perf_counter() - stored
+        self._write_run_manifest(key, spec, workload, config, stats,
+                                 cache_hit=False, wallclock=elapsed,
+                                 phases=phases,
+                                 usage=_usage_since(usage_before))
         if self._progress is not None:
             self._progress.job_done(key, elapsed, stats.committed)
         return stats
 
-    def _trace_cache_hit(self, key: str, workload: str,
-                         config: MachineConfig) -> None:
-        """Record a cache-served cell, once per key per runner (both
-        the span dedup and the progress counters see each cell once,
-        however many experiments ask for it)."""
-        if not self.tracing or key in self._traced_hits:
+    def _progress_cache_hit(self, key: str) -> None:
+        """Count a cache-served cell in the progress stream, once per
+        key per runner however many experiments ask for it."""
+        if self._progress is None or key in self._progressed:
             return
-        self._traced_hits.add(key)
-        if self._spans is not None:
-            self._spans.point(
-                "job", key, f"{workload}/{config.name}",
-                attrs={"workload": workload, "config": config.name,
-                       "cache_hit": True})
-        if self._progress is not None:
-            self._progress.cache_hit(key)
+        self._progressed.add(key)
+        self._progress.cache_hit(key)
 
     def run_many(self, pairs: Iterable[Pair],
                  jobs: Optional[int] = None
@@ -264,8 +250,7 @@ class ExperimentRunner:
                 pending=len(pending),
                 jobs=1 if len(pending) <= 1 else min(jobs, len(pending)))
         for key in cached_keys:
-            workload, config = unique[key]
-            self._trace_cache_hit(key, workload, config)
+            self._progress_cache_hit(key)
 
         if len(pending) <= 1 or jobs <= 1:
             for _, workload, config in pending:
@@ -276,37 +261,20 @@ class ExperimentRunner:
             return results
 
         ctx = multiprocessing.get_context(self.mp_start_method)
-        settings = {
-            "max_instructions": self.max_instructions,
-            "max_cycles": self.max_cycles,
-            "cache_dir": self.cache_dir,
-            "verify": self.verify,
-            "quiet": True,  # children are silent; the parent narrates
-            "jobs": 1,
-            "checkpoint_dir": self.checkpoint_dir,
-            "use_checkpoints": self.use_checkpoints,
-            "manifests": self.manifest_dir is not None,
-            "manifest_dir": self.manifest_dir,
-            "telemetry_dir": self.telemetry_dir,
-            "telemetry_interval": self.telemetry_interval,
-            "tracing": self.tracing,
-        }
+        settings = self.settings()
+        # Children are silent (the parent narrates) and serial.
+        settings.update(quiet=True, jobs=1)
         total, done = len(pending), 0
         started = time.perf_counter()
         with ctx.Pool(processes=min(jobs, total),
                       initializer=_worker_init,
                       initargs=(settings,)) as pool:
             tasks = [(workload, config) for _, workload, config in pending]
-            for workload, cname, payload, elapsed, spans in \
+            for workload, cname, payload, elapsed in \
                     pool.imap_unordered(_worker_run, tasks):
                 done += 1
                 stats = SimStats.from_dict(payload)
                 results[(workload, cname)] = stats
-                # Spans ride the existing result channel: the worker
-                # drains its recorder per task, the parent adopts them
-                # under the sweep span in _finish_sweep.
-                if self._spans is not None:
-                    self._spans.extend(spans)
                 if not self.quiet:
                     print(f"[run {done}/{total}] {workload} / {cname} "
                           f"({stats.committed} insts, {elapsed:.1f}s)",
@@ -315,12 +283,11 @@ class ExperimentRunner:
             print(f"[run] {total} simulations on {min(jobs, total)} workers "
                   f"in {time.perf_counter() - started:.1f}s", flush=True)
         # Adopt the children's results into this process's memory cache.
-        # The keys count as traced too: a worker already recorded the
-        # job span and progress for them, so a later cache-served
-        # lookup must not count the cell again.
+        # A worker already streamed their progress, so a later
+        # cache-served lookup must not count them again.
         for key, workload, config in pending:
             self._memory_cache[key] = results[(workload, config.name)]
-            self._traced_hits.add(key)
+            self._progressed.add(key)
         self._finish_sweep(unique, results, cached_keys,
                            simulated=len(pending),
                            jobs=min(jobs, total), started=sweep_started)
@@ -330,12 +297,10 @@ class ExperimentRunner:
                       results: Dict[Tuple[str, str], SimStats],
                       cached_keys: List[str], simulated: int, jobs: int,
                       started: float) -> None:
-        """Tracing + manifest bookkeeping at the end of one
+        """Progress + manifest bookkeeping at the end of one
         :meth:`run_many`.
 
-        Closes the sweep span (adopting every job/phase span recorded
-        this sweep, locally or in workers), writes ``spans.jsonl`` and
-        the ``sweep_done`` progress record, then backfills
+        Writes the ``sweep_done`` progress record, then backfills
         ``cache_hit=True`` run manifests for pairs that were served
         from a cache populated before manifests existed and writes the
         sweep manifest.  Manifest steps are a no-op without a manifest
@@ -343,8 +308,6 @@ class ExperimentRunner:
         """
         if not unique:
             return
-        if self._spans is not None:
-            self._finish_tracing(unique, simulated, jobs, started)
         if self._progress is not None:
             self._progress.sweep_done(
                 total=len(unique), simulated=simulated,
@@ -370,32 +333,12 @@ class ExperimentRunner:
             self.manifest_dir / f"sweep-{manifest['sweep_digest']}.json",
             manifest)
 
-    def _finish_tracing(self, unique: Dict[str, Pair], simulated: int,
-                        jobs: int, started: float) -> None:
-        """Close one sweep's trace: record the sweep span, adopt every
-        orphan job/phase record under it, export ``spans.jsonl``.
-
-        The recorder accumulates across :meth:`run_many` calls (e.g.
-        ``repro-experiment all`` runs several sweeps) and the export is
-        a full atomic rewrite, so the file always holds every span of
-        the process so far.
-        """
-        digest = sweep_digest(list(unique))
-        sid = span_id("sweep", digest)
-        record = self._spans.point(
-            "sweep", digest, "run_many", trace=sid,
-            attrs={"total": len(unique), "simulated": simulated,
-                   "cached": len(unique) - simulated, "jobs": jobs})
-        record["t_start"] = self._spans.rel(started)
-        record["duration_s"] = round(time.perf_counter() - started, 6)
-        self._spans.adopt(trace=sid, parent=sid)
-        if self.telemetry_dir is not None:
-            self._spans.write(self.telemetry_dir / "spans.jsonl")
-
     def _write_run_manifest(self, key: str, spec: WorkloadSpec,
                             workload: str, config: MachineConfig,
                             stats: SimStats, *, cache_hit: bool,
-                            wallclock: Optional[float]) -> None:
+                            wallclock: Optional[float],
+                            phases: Optional[Dict[str, float]] = None,
+                            usage: Optional[Dict] = None) -> None:
         if self.manifest_dir is None:
             return
         from ..telemetry.manifest import run_manifest, write_manifest
@@ -414,7 +357,9 @@ class ExperimentRunner:
             cache_hit=cache_hit,
             checkpoint=checkpoint,
             wallclock_seconds=wallclock,
-            stats=stats)
+            stats=stats,
+            phase_seconds=phases,
+            usage=usage)
         write_manifest(self.manifest_dir / f"{key}.json", manifest)
 
     def run_workloads(self, config: MachineConfig,
@@ -431,8 +376,10 @@ class ExperimentRunner:
         self.run_many(pairs, jobs=jobs)
 
     def _simulate(self, spec: WorkloadSpec, workload: str,
-                  config: MachineConfig,
-                  key: Optional[str] = None) -> SimStats:
+                  config: MachineConfig, key: str,
+                  phases: Dict[str, float]) -> SimStats:
+        """Run one timing simulation, timing its ``decode``,
+        ``warm-restore`` and ``simulate`` phases into *phases*."""
         from ..uarch.core import OutOfOrderCore
         if not self.quiet:
             print(f"[run] {workload} / {config.name} "
@@ -440,16 +387,9 @@ class ExperimentRunner:
         if self.verify:
             config = dataclasses.replace(config, verify_commits=True)
 
-        # Phase spans nest under the job span via its content-derived
-        # id — no recorder plumbing between run() and here is needed.
-        def phase(name: str):
-            if self._spans is None or key is None:
-                return contextlib.nullcontext({})
-            return self._spans.measure("phase", key, name,
-                                       parent=span_id("job", key))
-
-        with phase("decode"):
-            program = self._program(spec)
+        started = time.perf_counter()
+        program = self._program(spec)
+        phases["decode"] = time.perf_counter() - started
         core = OutOfOrderCore(config, program)
         # Set the workload name up front so the telemetry context block
         # sees it; the statistics are identical either way.
@@ -460,33 +400,29 @@ class ExperimentRunner:
             # interactive runs (repro-sim --trace-out), not bulk sweeps.
             sink = core.enable_telemetry(
                 interval=self.telemetry_interval, events=False)
-            if self._progress is not None and key is not None:
-                # Throttled mid-simulation heartbeats so a long cell
-                # stays visibly alive in repro-top.
-                sink.on_sample = (
-                    lambda cycle, committed: self._progress.heartbeat(
-                        current=key, cycles=cycle, committed=committed))
-        with phase("warm-restore") as warm_attrs:
-            if self.checkpoints is not None:
-                core.restore_warm(
-                    self.checkpoints.get(program, spec.skip_instructions))
-                warm_attrs["checkpoint"] = \
-                    self.checkpoints.last_source or "disabled"
-                if self._progress is not None:
-                    self._progress.checkpoint(self.checkpoints.last_source)
-            else:
-                core.skip(spec.skip_instructions)
-                warm_attrs["checkpoint"] = "disabled"
-        with phase("simulate"):
-            stats = core.run(max_cycles=self.max_cycles,
-                             max_instructions=self.max_instructions)
+            # Throttled mid-simulation heartbeats so a long cell stays
+            # visibly alive in repro-top (progress is on whenever a
+            # telemetry directory is).
+            sink.on_sample = (
+                lambda cycle, committed: self._progress.heartbeat(
+                    current=key, cycles=cycle, committed=committed))
+        started = time.perf_counter()
+        if self.checkpoints is not None:
+            core.restore_warm(
+                self.checkpoints.get(program, spec.skip_instructions))
+            if self._progress is not None:
+                self._progress.checkpoint(self.checkpoints.last_source)
+        else:
+            core.skip(spec.skip_instructions)
+        phases["warm-restore"] = time.perf_counter() - started
+        started = time.perf_counter()
+        stats = core.run(max_cycles=self.max_cycles,
+                         max_instructions=self.max_instructions)
+        phases["simulate"] = time.perf_counter() - started
         if sink is not None:
-            if key is not None:
-                sink.series.context["cache_key"] = key
+            sink.series.context["cache_key"] = key
             self.telemetry_dir.mkdir(parents=True, exist_ok=True)
-            name = key if key is not None \
-                else f"{workload}-{config.name}"
-            sink.write_timeseries(self.telemetry_dir / f"{name}.jsonl")
+            sink.write_timeseries(self.telemetry_dir / f"{key}.jsonl")
         return stats
 
     def _program(self, spec: WorkloadSpec) -> Program:
@@ -581,6 +517,27 @@ class ExperimentRunner:
         atomic_write_text(path, stats.canonical_json())
 
 
+def _rusage():
+    """This process's ``getrusage`` reading (``None`` off POSIX)."""
+    return (resource.getrusage(resource.RUSAGE_SELF)
+            if resource is not None else None)
+
+
+def _usage_since(before) -> Optional[Dict]:
+    """CPU seconds since the reading *before*, and the process's peak
+    RSS now: the resource fields of a simulated run's manifest."""
+    if before is None:
+        return None
+    after = _rusage()
+    return {
+        "cpu_user_s": after.ru_utime - before.ru_utime,
+        "cpu_sys_s": after.ru_stime - before.ru_stime,
+        # Peak RSS is a process high-water mark, not a per-job delta
+        # (kilobytes on Linux).
+        "rss_peak_kb": int(after.ru_maxrss),
+    }
+
+
 # -- pool plumbing ----------------------------------------------------------------
 # The worker runner is a module global so it survives across tasks in one
 # worker process (keeping its memory cache warm) under every start method.
@@ -593,17 +550,12 @@ def _worker_init(settings: Dict) -> None:
     _WORKER_RUNNER = ExperimentRunner(**settings)
 
 
-def _worker_run(pair: Pair) -> Tuple[str, str, Dict, float, List[Dict]]:
+def _worker_run(pair: Pair) -> Tuple[str, str, Dict, float]:
     workload, config = pair
     started = time.perf_counter()
     stats = _WORKER_RUNNER.run(workload, config)
-    # Span records ride the result channel back to the parent, which
-    # adopts them under its sweep span; draining per task keeps the
-    # payload proportional to the work just done.
-    spans = (_WORKER_RUNNER._spans.drain()
-             if _WORKER_RUNNER._spans is not None else [])
     return workload, config.name, stats.as_dict(), \
-        time.perf_counter() - started, spans
+        time.perf_counter() - started
 
 
 def default_runner(**overrides) -> ExperimentRunner:

@@ -44,12 +44,7 @@ def run(runner: ExperimentRunner,
     sized_runners = {}
     for window in windows:
         sized = ExperimentRunner(
-            max_instructions=window,
-            max_cycles=runner.max_cycles,
-            cache_dir=runner.cache_dir,
-            quiet=runner.quiet,
-            jobs=runner.jobs,
-            mp_start_method=runner.mp_start_method)
+            **{**runner.settings(), "max_instructions": window})
         sized.prefetch([(name, config) for name in names
                         for config in (BASE, vp_magic(), IR_EARLY)])
         sized_runners[window] = sized

@@ -7,8 +7,8 @@ values printed alongside measured values wherever the paper gives them.
 This module also hosts the ``repro-report`` dashboard: it joins the run
 manifests written by :class:`~repro.experiments.runner.ExperimentRunner`
 with any interval time-series captured alongside them into one
-provenance + behaviour view, rendered as text or minimal static HTML
-(see ``docs/telemetry.md``).
+provenance, timing and behaviour view, rendered as text or minimal
+static HTML (see ``docs/telemetry.md``).
 """
 
 from __future__ import annotations
@@ -166,65 +166,55 @@ def _timeseries_report(paths: List[Path]) -> Optional[Report]:
     return table if table.rows else None
 
 
-def _span_reports(path: Path) -> List[Report]:
-    """Span-trace tables: the "where did the time go" phase breakdown
-    and per-cell resource accounting (see repro.telemetry.spans)."""
-    from ..telemetry.spans import PHASE_ORDER, load_spans
-    try:
-        records = load_spans(path)
-    except (OSError, ValueError):
+def _job_reports(manifests: List[dict]) -> List[Report]:
+    """The "where did the time go" phase breakdown and per-cell resource
+    accounting, from the run manifests of simulated jobs."""
+    from ..telemetry.manifest import PHASE_ORDER
+    jobs = [m for m in manifests if m.get("kind") == "run"
+            and not m.get("cache_hit")
+            and isinstance(m.get("phase_seconds"), dict)]
+    if not jobs:
         return []
-    jobs = [r for r in records if r.get("kind") == "job"
-            and not (r.get("attrs") or {}).get("cache_hit")]
-    phases = [r for r in records if r.get("kind") == "phase"]
-    reports = []
-
-    if phases:
-        totals: dict = {}
-        for record in phases:
-            entry = totals.setdefault(record.get("name"),
-                                      {"count": 0, "seconds": 0.0})
+    totals: dict = {}
+    for manifest in jobs:
+        for name, seconds in manifest["phase_seconds"].items():
+            entry = totals.setdefault(name, {"count": 0, "seconds": 0.0})
             entry["count"] += 1
-            entry["seconds"] += record.get("duration_s") or 0.0
-        grand = sum(entry["seconds"] for entry in totals.values())
-        table = Report(
-            title="Where did the time go (phase breakdown)",
-            headers=("phase", "spans", "total s", "mean s", "share %"))
-        order = {name: i for i, name in enumerate(PHASE_ORDER)}
-        for name in sorted(totals,
-                           key=lambda n: order.get(n, len(order))):
-            entry = totals[name]
-            table.add_row(
-                name, entry["count"], round(entry["seconds"], 3),
-                round(entry["seconds"] / entry["count"], 4),
-                round(100.0 * entry["seconds"] / grand, 1) if grand
-                else None)
-        hosts = sorted({(r.get("attrs") or {}).get("host")
-                        for r in jobs} - {None})
-        if hosts:
-            table.add_note(f"hosts: {', '.join(hosts)}")
-        table.add_note("durations are per-process monotonic; spans "
-                       "from parallel workers overlap in wallclock")
-        reports.append(table)
+            entry["seconds"] += seconds or 0.0
+    grand = sum(entry["seconds"] for entry in totals.values())
+    phases = Report(
+        title="Where did the time go (phase breakdown)",
+        headers=("phase", "jobs", "total s", "mean s", "share %"))
+    order = {name: i for i, name in enumerate(PHASE_ORDER)}
+    for name in sorted(totals, key=lambda n: order.get(n, len(order))):
+        entry = totals[name]
+        phases.add_row(
+            name, entry["count"], round(entry["seconds"], 3),
+            round(entry["seconds"] / entry["count"], 4),
+            round(100.0 * entry["seconds"] / grand, 1) if grand
+            else None)
+    hosts = sorted({m.get("host") for m in jobs} - {None})
+    if hosts:
+        phases.add_note(f"hosts: {', '.join(hosts)}")
+    phases.add_note("durations are per-process monotonic; jobs from "
+                    "parallel workers overlap in wallclock")
 
-    if jobs:
-        table = Report(
-            title="Per-cell resources (job spans)",
-            headers=("cell", "wall s", "cpu user s", "cpu sys s",
-                     "peak rss MB", "host"))
-        for record in sorted(jobs, key=lambda r: r.get("key") or ""):
-            attrs = record.get("attrs") or {}
-            rss = attrs.get("rss_peak_kb")
-            table.add_row(
-                record.get("name") or record.get("key"),
-                record.get("duration_s"),
-                attrs.get("cpu_user_s"), attrs.get("cpu_sys_s"),
-                round(rss / 1024.0, 1) if rss else None,
-                attrs.get("host"))
-        table.add_note("peak RSS is the process high-water mark at "
-                       "span exit (ru_maxrss), not a per-cell delta")
-        reports.append(table)
-    return reports
+    resources = Report(
+        title="Per-cell resources (run manifests)",
+        headers=("cell", "wall s", "cpu user s", "cpu sys s",
+                 "peak rss MB", "host"))
+    for manifest in sorted(jobs, key=lambda m: m.get("cache_key") or ""):
+        rss = manifest.get("rss_peak_kb")
+        resources.add_row(
+            f"{manifest.get('workload')}/{manifest.get('config_name')}",
+            manifest.get("wallclock_seconds"),
+            manifest.get("cpu_user_s"), manifest.get("cpu_sys_s"),
+            round(rss / 1024.0, 1) if rss else None,
+            manifest.get("host"))
+    resources.add_note("peak RSS is the process's high-water "
+                       "mark after the job (ru_maxrss), not a per-cell "
+                       "delta")
+    return [phases, resources]
 
 
 def telemetry_dashboard(results_dir,
@@ -250,14 +240,11 @@ def telemetry_dashboard(results_dir,
         paths = sorted(p for p in telemetry_dir.iterdir()
                        if p.suffix.lower() in (".jsonl", ".csv")
                        and ".trace." not in p.name
-                       and p.name not in ("spans.jsonl",
-                                          "progress.jsonl"))
+                       and p.name != "progress.jsonl")
         series_report = _timeseries_report(paths)
         if series_report is not None:
             reports.append(series_report)
-        spans_path = telemetry_dir / "spans.jsonl"
-        if spans_path.exists():
-            reports.extend(_span_reports(spans_path))
+    reports.extend(_job_reports(manifests))
     return reports
 
 
@@ -285,20 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--html", type=Path, default=None, metavar="OUT",
                         help="also write the dashboard as a static "
                              "HTML page")
-    parser.add_argument("--live", action="store_true",
-                        help="tail the sweep's live progress instead "
-                             "of rendering the dashboard (same view as "
-                             "repro-top)")
-    parser.add_argument("--interval", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="refresh period for --live (default 2s)")
     args = parser.parse_args(argv)
-
-    if args.live:
-        from ..telemetry.progress import follow
-        telemetry = args.telemetry_dir if args.telemetry_dir is not None \
-            else args.results / "telemetry"
-        return follow(telemetry, interval=args.interval)
 
     reports = telemetry_dashboard(args.results, args.telemetry_dir)
     if not reports:

@@ -1,8 +1,7 @@
-"""Opt-in observability for the simulator: traces, time-series, manifests.
+"""Observability for the simulator: traces, time-series, manifests.
 
-Three layers, all **off by default** (the golden-stats corpus pins that
-attaching none of them is the default and that attaching any of them
-never changes a statistic):
+Four layers, all observation-only (the golden-stats corpus pins that
+attaching any of them never changes a statistic):
 
 * :mod:`repro.telemetry.interval` — columnar per-interval time-series
   (IPC, occupancies, capture/misprediction rates every N cycles),
@@ -11,13 +10,10 @@ never changes a statistic):
   records from the core's dispatch/issue/complete/commit, VP and reuse
   paths, with a filterable ``repro-trace`` CLI;
 * :mod:`repro.telemetry.manifest` — per-run and per-sweep provenance
-  manifests written by the experiment harness;
-* :mod:`repro.telemetry.spans` — hierarchical sweep → job → phase span
-  tracing with per-job resource accounting (canonical JSONL,
-  content-derived span ids);
+  manifests written by the experiment harness (on by default), with
+  each simulated job's phase seconds and CPU/RSS use;
 * :mod:`repro.telemetry.progress` — the live sweep progress protocol
-  (``progress.jsonl`` heartbeats) behind the ``repro-top`` CLI and
-  ``repro-report --live``.
+  (``progress.jsonl`` heartbeats) behind the ``repro-top`` CLI.
 
 Attach with ``core.enable_telemetry()`` (see
 :class:`~repro.telemetry.sink.TelemetrySink`) or the ``repro-sim
@@ -44,6 +40,7 @@ from .manifest import (
     config_digest,
     load_manifests,
     run_manifest,
+    sweep_digest,
     sweep_manifest,
     write_manifest,
 )
@@ -54,21 +51,9 @@ from .progress import (
     read_progress,
 )
 from .sink import TelemetrySink
-from .spans import (
-    SPAN_FORMAT,
-    SpanRecorder,
-    load_spans,
-    span_id,
-    sweep_digest,
-)
 
 __all__ = [
     "TelemetrySink",
-    "SpanRecorder",
-    "SPAN_FORMAT",
-    "span_id",
-    "sweep_digest",
-    "load_spans",
     "ProgressWriter",
     "PROGRESS_FORMAT",
     "SweepSnapshot",
@@ -84,6 +69,7 @@ __all__ = [
     "MANIFEST_FORMAT",
     "config_digest",
     "run_manifest",
+    "sweep_digest",
     "sweep_manifest",
     "write_manifest",
     "load_manifests",

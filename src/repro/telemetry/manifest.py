@@ -4,7 +4,10 @@ A *run manifest* records everything needed to answer "where did this
 cached number come from": the cache key and the digests it embeds
 (machine configuration, program content), whether the run came from the
 result cache and where its warm-up came from, wallclock, host and
-software versions.  A *sweep manifest* ties one ``run_many`` invocation
+software versions.  A simulated run's manifest also answers "where did
+the time go": the seconds of each job phase (``phase_seconds``, keyed
+by :data:`PHASE_ORDER`) and the job's ``getrusage`` CPU seconds and the
+process's peak RSS.  A *sweep manifest* ties one ``run_many`` invocation
 together: the run keys it covered, how many were simulated vs already
 cached, pool size and total wallclock.
 
@@ -33,9 +36,14 @@ from typing import Dict, List, Optional
 
 from ..util.locking import atomic_write_text
 from ..util.serial import canonical_dumps
-from .spans import span_id
 
 MANIFEST_FORMAT = "repro-manifest-v1"
+
+#: The phases of one simulated job, in execution order: ``decode``
+#: (program assembly), ``warm-restore`` (checkpoint restore or
+#: functional fast-forward), ``simulate`` (the timing run) and
+#: ``cache-write`` (the canonical result write).
+PHASE_ORDER = ("decode", "warm-restore", "simulate", "cache-write")
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -117,16 +125,19 @@ def run_manifest(*, cache_key: str, workload: str, config,
                  max_instructions: int, max_cycles: int,
                  cache_hit: bool, checkpoint: str,
                  wallclock_seconds: Optional[float],
-                 stats=None) -> Dict:
-    """Build one run's manifest dictionary (see module docstring)."""
+                 stats=None,
+                 phase_seconds: Optional[Dict[str, float]] = None,
+                 usage: Optional[Dict] = None) -> Dict:
+    """Build one run's manifest dictionary (see module docstring).
+
+    *phase_seconds* and *usage* (``cpu_user_s``, ``cpu_sys_s``,
+    ``rss_peak_kb``) are given for simulated runs only; cache-hit
+    manifests carry neither, so readers treat them as optional.
+    """
     manifest = {
         "format": MANIFEST_FORMAT,
         "kind": "run",
         "cache_key": cache_key,
-        # The job span of a traced sweep that (re)produced this result.
-        # Content-derived from the cache key (repro.telemetry.spans), so
-        # it is present and stable whether or not tracing was on.
-        "span_id": span_id("job", cache_key),
         "workload": workload,
         "config_name": config.name,
         "config_digest": config_digest(config),
@@ -151,20 +162,29 @@ def run_manifest(*, cache_key: str, workload: str, config,
             "committed": stats.committed,
             "ipc": round(stats.ipc, 4),
         }
+    if phase_seconds is not None:
+        manifest["phase_seconds"] = {
+            name: round(seconds, 6)
+            for name, seconds in phase_seconds.items()}
+    if usage is not None:
+        manifest.update({name: round(value, 6)
+                         for name, value in usage.items()})
     return manifest
+
+
+def sweep_digest(run_keys: List[str]) -> str:
+    """Order-independent digest of a sweep's run keys."""
+    return hashlib.sha256(
+        "\n".join(sorted(run_keys)).encode()).hexdigest()[:12]
 
 
 def sweep_manifest(*, run_keys: List[str], simulated: int, cached: int,
                    jobs: int, wallclock_seconds: float) -> Dict:
     """Build the manifest for one ``run_many`` sweep."""
-    digest = hashlib.sha256(
-        "\n".join(sorted(run_keys)).encode()).hexdigest()[:12]
     manifest = {
         "format": MANIFEST_FORMAT,
         "kind": "sweep",
-        "sweep_digest": digest,
-        # The sweep span (= trace id) of a traced run_many invocation.
-        "span_id": span_id("sweep", digest),
+        "sweep_digest": sweep_digest(run_keys),
         "runs": sorted(run_keys),
         "total_runs": len(run_keys),
         "simulated": simulated,

@@ -20,10 +20,10 @@ harness supports, so a tailing reader on the same machine can compute
 heartbeat ages; no wallclock ever enters the protocol (the
 ``monotonic-tracing`` lint rule enforces this).
 
-``repro-top`` tails the file and renders a per-worker table with ETA;
-``repro-report --live`` reuses the same renderer.  Like every other
-telemetry layer, progress is observation-only: a traced sweep's result
-cache and ``SimStats`` are byte-identical to an untraced one.
+``repro-top`` tails the file and renders a per-worker table with ETA.
+Like every other telemetry layer, progress is observation-only: a
+traced sweep's result cache and ``SimStats`` are byte-identical to an
+untraced one.
 """
 
 from __future__ import annotations
@@ -315,8 +315,8 @@ def progress_path(target) -> Path:
 
 def follow(target, interval: float = 2.0, once: bool = False,
            clear: bool = True, out=print) -> int:
-    """Tail-and-render loop shared by ``repro-top`` and
-    ``repro-report --live``; returns a process exit code."""
+    """The ``repro-top`` tail-and-render loop; returns a process exit
+    code."""
     path = progress_path(target)
     while True:
         snap = SweepSnapshot.from_records(read_progress(path))

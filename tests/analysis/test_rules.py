@@ -303,7 +303,7 @@ def test_non_cli_module_needs_no_guard(lint_one):
 # -- monotonic-tracing ------------------------------------------------------------
 
 def test_wallclock_flagged_in_tracing_modules(lint_one):
-    findings = lint_one("repro/telemetry/spans.py", """\
+    findings = lint_one("repro/telemetry/progress.py", """\
         import time
 
         def stamp(record):
@@ -333,7 +333,7 @@ def test_aliased_wallclock_read_flagged(lint_one):
 
 
 def test_monotonic_clocks_allowed_in_tracing_modules(lint_one):
-    findings = lint_one("repro/telemetry/spans.py", """\
+    findings = lint_one("repro/telemetry/progress.py", """\
         import time
 
         def width(start):
@@ -348,7 +348,7 @@ def test_monotonic_clocks_allowed_in_tracing_modules(lint_one):
 
 def test_monotonic_rule_scoped_to_tracing_modules(lint_one):
     # Other telemetry modules (e.g. manifests) legitimately stamp
-    # wallclock; only spans.py/progress.py are in scope.
+    # wallclock; only progress.py is in scope.
     findings = lint_one("repro/telemetry/manifest.py", """\
         import time
 

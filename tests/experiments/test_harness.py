@@ -166,6 +166,28 @@ class TestAblations:
         drift = report.rows[0][-1]
         assert drift >= 0.0
 
+    def test_sensitivity_keeps_runner_settings(self, tmp_path,
+                                               monkeypatch):
+        # The per-window runners must inherit every setting of the
+        # runner they were given, not just the window budgets.
+        from repro.experiments import sensitivity
+        sized = []
+
+        class Recording(ExperimentRunner):
+            def __init__(self, **settings):
+                super().__init__(**settings)
+                sized.append(self)
+
+        monkeypatch.setattr(sensitivity, "ExperimentRunner", Recording)
+        parent = ExperimentRunner(max_instructions=2_000, max_cycles=80_000,
+                                  cache_dir=tmp_path, quiet=True, jobs=1,
+                                  verify=True, manifests=False)
+        sensitivity.run(parent, windows=(500, 1_000),
+                        workloads=["compress"])
+        assert [r.max_instructions for r in sized] == [500, 1_000]
+        assert all(r.verify for r in sized)
+        assert not (tmp_path / "manifests").exists()
+
     def test_sensitivity_in_cli(self):
         from repro.experiments.cli import EXPERIMENTS
         assert "sensitivity" in EXPERIMENTS

@@ -148,11 +148,11 @@ class TestSweepTelemetry:
         # Cache keys are unchanged by telemetry: everything was already
         # cached, so nothing re-simulated and no time-series appeared.
         # (Sweep observability still records the cache-served cells:
-        # only spans/progress files may exist, never interval series.)
+        # only the progress file may exist, never interval series.)
         assert {p.name: p.stat().st_mtime_ns
                 for p in tmp_path.glob("*.json")} == stamps
         assert {p.name for p in telemetry.iterdir()} \
-            <= {"spans.jsonl", "progress.jsonl"}
+            <= {"progress.jsonl"}
 
     def test_telemetry_off_by_default(self, tmp_path):
         make_runner(tmp_path, jobs=2).run_many(PAIRS)

@@ -1,30 +1,25 @@
-"""Acceptance tests for sweep observability (spans + progress).
+"""Acceptance tests for sweep observability (job timing + progress).
 
 The observatory must satisfy two contracts at once:
 
-* a traced ``jobs=2`` sweep covers every cell with a properly nested
-  sweep -> job -> phase span tree whose ids round-trip through the run
-  manifests, plus a progress stream a tailing ``repro-top`` can render;
+* every simulated cell of a ``jobs=2`` sweep gets one run manifest
+  carrying its phase seconds and resource use, which ``repro-report``
+  turns into its timing tables, plus a progress stream a tailing
+  ``repro-top`` can render;
 * observation changes nothing — the result cache and ``SimStats`` of a
-  traced sweep are byte-identical to an untraced one, span identity
-  lines are byte-stable across runs, and an untraced runner writes no
-  span or progress files at all.
+  sweep with a telemetry directory are byte-identical to one without,
+  and a runner without a telemetry directory writes no progress file.
 """
 
 from repro.experiments import ExperimentRunner
 from repro.experiments.configs import BASE, IR_EARLY
 from repro.telemetry import load_manifests
+from repro.telemetry.manifest import PHASE_ORDER
 from repro.telemetry.progress import (
     PROGRESS_FILE,
     SweepSnapshot,
     read_progress,
     render_snapshot,
-)
-from repro.telemetry.spans import (
-    identity_lines,
-    load_spans,
-    span_id,
-    sweep_digest,
 )
 from repro.workloads import get_workload
 
@@ -47,79 +42,39 @@ def run_keys(runner):
             for w, c in PAIRS}
 
 
-def spans_by_kind(records):
-    by_kind = {"sweep": [], "job": [], "phase": []}
-    for record in records:
-        by_kind[record["kind"]].append(record)
-    return by_kind
-
-
 class TestSpanTree:
+    """Sweep -> job -> phase: one run manifest per simulated cell, with
+    the cell's phase seconds and resource use."""
+
     def test_parallel_sweep_covers_every_cell(self, tmp_path):
         runner = make_runner(tmp_path, jobs=2)
         runner.run_many(PAIRS)
-        records = load_spans(tmp_path / "telemetry" / "spans.jsonl")
-        by_kind = spans_by_kind(records)
-        keys = run_keys(runner)
+        runs = [m for m in load_manifests(tmp_path / "manifests")
+                if m["kind"] == "run"]
+        assert {m["cache_key"] for m in runs} == set(run_keys(runner))
+        for manifest in runs:
+            assert manifest["cache_hit"] is False
+            assert manifest["stats"]["committed"] >= INSTRUCTIONS
+            phases = manifest["phase_seconds"]
+            assert sorted(phases) == sorted(PHASE_ORDER)
+            assert all(seconds >= 0 for seconds in phases.values())
+            assert phases["simulate"] > 0
+            # Resource accounting rides on simulated run manifests.
+            assert manifest["rss_peak_kb"] > 0
+            assert manifest["cpu_user_s"] >= 0
+            assert manifest["cpu_sys_s"] >= 0
 
-        [sweep] = by_kind["sweep"]
-        assert sweep["key"] == sweep_digest(list(keys))
-        assert sweep["span"] == sweep["trace"] \
-            == span_id("sweep", sweep["key"])
-        assert sweep["attrs"]["total"] == len(PAIRS)
-        assert sweep["attrs"]["simulated"] == len(PAIRS)
-        assert sweep["duration_s"] > 0
-
-        assert {j["key"] for j in by_kind["job"]} == set(keys)
-        for job in by_kind["job"]:
-            assert job["span"] == span_id("job", job["key"])
-            assert job["parent"] == sweep["span"]
-            assert job["trace"] == sweep["trace"]
-            assert job["attrs"]["cache_hit"] is False
-            assert job["attrs"]["committed"] >= INSTRUCTIONS
-            # Resource accounting rides on simulated job spans.
-            assert job["attrs"]["rss_peak_kb"] > 0
-            assert job["attrs"]["cpu_user_s"] >= 0
-
-        for key in keys:
-            names = sorted(p["name"] for p in by_kind["phase"]
-                           if p["key"] == key)
-            assert names == ["cache-write", "decode", "simulate",
-                             "warm-restore"]
-        for phase in by_kind["phase"]:
-            assert phase["parent"] == span_id("job", phase["key"])
-            assert phase["trace"] == sweep["trace"]
-
-    def test_cache_served_sweep_emits_hit_points(self, tmp_path):
-        make_runner(tmp_path, jobs=2).run_many(PAIRS)
-        hit_dir = tmp_path / "hit"
-        runner = make_runner(tmp_path, jobs=2,
-                             telemetry_dir=hit_dir).run_many(PAIRS)
-        records = load_spans(hit_dir / "spans.jsonl")
-        by_kind = spans_by_kind(records)
-        assert by_kind["phase"] == []  # nothing simulated
-        assert by_kind["sweep"][0]["attrs"]["simulated"] == 0
-        assert len(by_kind["job"]) == len(PAIRS)
-        for job in by_kind["job"]:
-            assert job["attrs"]["cache_hit"] is True
-            assert job["duration_s"] == 0.0
-
-    def test_manifest_span_ids_round_trip(self, tmp_path):
-        make_runner(tmp_path, jobs=2).run_many(PAIRS)
-        records = load_spans(tmp_path / "telemetry" / "spans.jsonl")
-        spans = {r["span"] for r in records}
-        manifests = load_manifests(tmp_path / "manifests")
-        assert manifests
-        for manifest in manifests:
-            # Every manifest names the span of the work it describes,
-            # derived from content — so it appears in the span file.
-            assert manifest["span_id"] in spans
-            if manifest["kind"] == "run":
-                assert manifest["span_id"] == span_id(
-                    "job", manifest["cache_key"])
-            else:
-                assert manifest["span_id"] == span_id(
-                    "sweep", manifest["sweep_digest"])
+    def test_report_renders_tables_without_telemetry_dir(self, tmp_path,
+                                                         capsys):
+        from repro.metrics.report import main as report_main
+        make_runner(tmp_path, jobs=2, telemetry_dir=None).run_many(PAIRS)
+        assert not (tmp_path / "telemetry").exists()
+        assert report_main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Where did the time go" in out
+        assert "Per-cell resources" in out
+        for phase in PHASE_ORDER:
+            assert phase in out
 
 
 class TestProgressStream:
@@ -170,29 +125,7 @@ class TestObservationOnly:
         for pair_key, stats in traced.items():
             assert stats.as_dict() == plain[pair_key].as_dict()
 
-    def test_identity_lines_byte_stable_across_runs(self, tmp_path):
-        texts = []
-        for run in ("a", "b"):
-            cache = tmp_path / run
-            make_runner(cache, jobs=2).run_many(PAIRS)
-            spans = load_spans(cache / "telemetry" / "spans.jsonl")
-            texts.append(identity_lines(spans))
-        assert texts[0] == texts[1]
-
     def test_tracing_off_writes_nothing(self, tmp_path):
         runner = make_runner(tmp_path, jobs=2, telemetry_dir=None)
-        assert runner.tracing is False
         runner.run_many(PAIRS)
-        assert not list(tmp_path.rglob("spans.jsonl"))
         assert not list(tmp_path.rglob(PROGRESS_FILE))
-
-    def test_tracing_opt_out_with_telemetry_dir(self, tmp_path):
-        telemetry = tmp_path / "telemetry"
-        runner = make_runner(tmp_path, jobs=2, tracing=False,
-                             telemetry_interval=200)
-        assert runner.tracing is False
-        runner.run_many(PAIRS)
-        # Interval series still captured; no spans or progress.
-        assert list(telemetry.glob("*.jsonl"))
-        assert not (telemetry / "spans.jsonl").exists()
-        assert not (telemetry / PROGRESS_FILE).exists()

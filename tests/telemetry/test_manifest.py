@@ -61,6 +61,20 @@ class TestRunManifest:
         assert manifest["stats"] == {"cycles": 100, "committed": 250,
                                      "ipc": 2.5}
 
+    def test_job_timing_fields_optional(self):
+        manifest = sample_run_manifest()
+        for field in ("phase_seconds", "cpu_user_s", "cpu_sys_s",
+                      "rss_peak_kb"):
+            assert field not in manifest
+
+        manifest = sample_run_manifest(
+            phase_seconds={"simulate": 1.23456789},
+            usage={"cpu_user_s": 0.5, "cpu_sys_s": 0.25,
+                   "rss_peak_kb": 2048})
+        assert manifest["phase_seconds"] == {"simulate": 1.234568}
+        assert manifest["cpu_user_s"] == 0.5
+        assert manifest["rss_peak_kb"] == 2048
+
     def test_is_json_serializable(self):
         json.dumps(sample_run_manifest())
 
