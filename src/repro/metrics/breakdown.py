@@ -20,7 +20,7 @@ from typing import Dict
 
 from ..isa.instruction import Instruction
 from ..uarch.core import OutOfOrderCore
-from ..uarch.entry import CommittedOp
+from ..uarch.entry import InflightOp
 from .report import Report
 
 CLASSES = ("alu", "load", "store", "branch", "jump", "mult/div")
@@ -67,7 +67,7 @@ class ClassBreakdown:
         self._previous_hook = core.on_commit
         core.on_commit = self._record
 
-    def _record(self, op: CommittedOp, cycle: int) -> None:
+    def _record(self, op: InflightOp, cycle: int) -> None:
         if self._previous_hook is not None:
             self._previous_hook(op, cycle)
         counts = self.counts[classify(op.inst)]

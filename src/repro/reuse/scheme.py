@@ -20,21 +20,22 @@ Because both paper augmentations store operand *values* in the entry, the
 register-overwrite invalidation and revert-to-valid rules reduce exactly
 to the value comparisons performed here.
 
-The engine reads in-flight state straight out of the core's
-:class:`~repro.uarch.entry.EntryPool` arrays (bound via
-:meth:`ReuseEngine.bind_pool`): the hot-path methods take a small integer
-entry id, not an object.  Only :meth:`eligible` and
-:meth:`operand_signature` keep the attribute interface — they also serve
-the :class:`~repro.uarch.entry.CommittedOp` views tests inspect.
+The engine reads in-flight state straight off the core's
+:class:`~repro.uarch.entry.InflightOp` entries: the test walks the
+entry's producer edges, and :meth:`ReuseEngine.insert` records an
+entry's dependence pointers from its producers' ``rb_entry``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from ..metrics.stats import SimStats
 from ..uarch.config import IRConfig, IRValidation
 from .buffer import OperandSignature, RBEntry, ReuseBuffer
+
+if TYPE_CHECKING:
+    from ..uarch.entry import InflightOp
 
 # Core-supplied oracle: does an in-flight store older than *seq* conflict
 # with this address range?  (seq, address, nbytes) -> bool
@@ -85,37 +86,19 @@ class ReuseEngine:
         # attached, every reuse test emits a hit/miss event (misses with
         # a diagnosed reason).  Never influences the decision.
         self.telemetry = None
-        self.pool = None
-
-    def bind_pool(self, pool) -> None:
-        """Adopt the core's entry pool (one-hop bindings of the arrays
-        every reuse test reads)."""
-        self.pool = pool
-        self._seq = pool.seq_of
-        self._meta = pool.meta
-        self._outcome = pool.outcome
-        self._producers = pool.producers
-        self._src_values = pool.src_values
-        self._completed = pool.completed
-        self._ready = pool.ready_cycle
-        self._nonspec = pool.nonspec_cycle
-        self._reused = pool.reused
-        self._reuse_value = pool.reuse_value
-        self._rb = pool.rb_entry
-        self._fwd = pool.forwarded_from
 
     # -- eligibility ---------------------------------------------------------------
 
     @staticmethod
-    def eligible(op) -> bool:
+    def eligible(op: InflightOp) -> bool:
         """Direct jumps, nops and halt gain nothing from reuse."""
         return op.meta.reuse_eligible
 
     # -- the reuse test (dispatch time) ----------------------------------------------
 
-    def test(self, i: int, cycle: int,
+    def test(self, op: InflightOp, cycle: int,
              store_conflict: StoreConflictFn) -> ReuseDecision:
-        meta = self._meta[i]
+        meta = op.meta
         if not meta.reuse_eligible:
             return _MISS
         self.stats.ir_tests += 1
@@ -126,10 +109,10 @@ class ReuseEngine:
         for entry in buffer.sets[(pc >> 2) & buffer.set_mask]:
             if entry.pc != pc:
                 continue
-            if not self._operands_match(i, entry, cycle):
+            if not self._operands_match(op, entry, cycle):
                 continue
             if is_mem:
-                decision = self._test_memory(i, entry, store_conflict)
+                decision = self._test_memory(op, entry, store_conflict)
             else:
                 decision = ReuseDecision(entry=entry, full=True)
             if decision.full:
@@ -140,19 +123,19 @@ class ReuseEngine:
         if best is None or best.entry is None:
             if self.telemetry is not None:
                 self.telemetry.emit(
-                    "reuse_miss", cycle, self._seq[i], pc,
-                    {"reason": self._explain_miss(i, cycle,
+                    "reuse_miss", cycle, op.seq, pc,
+                    {"reason": self._explain_miss(op, cycle,
                                                   store_conflict)})
             return _MISS
         buffer.touch(best.entry)
         self._count_recovery(best.entry)
         if self.telemetry is not None:
-            self.telemetry.emit("reuse_hit", cycle, self._seq[i], pc,
+            self.telemetry.emit("reuse_hit", cycle, op.seq, pc,
                                 {"full": best.full,
                                  "address": best.address})
         return best
 
-    def _explain_miss(self, i: int, cycle: int,
+    def _explain_miss(self, op: InflightOp, cycle: int,
                       store_conflict: StoreConflictFn) -> str:
         """Why the test failed — a trace-only re-walk of the set.
 
@@ -160,17 +143,17 @@ class ReuseEngine:
         pays nothing for it.  The reason is the first matching entry's
         first failing condition, in test order.
         """
-        meta = self._meta[i]
+        meta = op.meta
         pc = meta.pc
         buffer = self.buffer
         for entry in buffer.sets[(pc >> 2) & buffer.set_mask]:
             if entry.pc != pc:
                 continue
-            src_values = self._src_values[i]
+            src_values = op.src_values
             for reg, stored_value in entry.operands:
                 if src_values.get(reg) != stored_value:
                     return "operand_mismatch"
-                if not self._value_available(i, reg, cycle):
+                if not self._value_available(op, reg, cycle):
                     return "operand_unavailable"
             if meta.is_mem:
                 if entry.address is None:
@@ -180,32 +163,33 @@ class ReuseEngine:
                         return "result_invalid"
                     if not entry.mem_valid:
                         return "mem_invalidated"
-                    if store_conflict(self._seq[i], entry.address,
+                    if store_conflict(op.seq, entry.address,
                                       entry.mem_bytes):
                         return "store_conflict"
             return "unknown"
         return "no_entry"
 
-    def _operands_match(self, i: int, entry: RBEntry,
+    def _operands_match(self, op: InflightOp, entry: RBEntry,
                         cycle: int) -> bool:
         """All stored operands available and equal to the current values."""
-        src_values = self._src_values[i]
+        src_values = op.src_values
         for reg, stored_value in entry.operands:
             # Equality first: it is the cheap test and the common reject.
             # Availability has no side effects, so the order is free.
             if src_values.get(reg) != stored_value:
                 return False
-            if not self._value_available(i, reg, cycle):
+            if not self._value_available(op, reg, cycle):
                 return False
         return True
 
-    def _value_available(self, i: int, reg: int, cycle: int) -> bool:
-        p = self._producers[i].get(reg)
+    def _value_available(self, op: InflightOp, reg: int,
+                         cycle: int) -> bool:
+        p = op.producers.get(reg)
         if p is None:
             return True  # architectural value, readable at decode
-        ready = self._ready[p]
-        nonspec = self._nonspec[p]
-        if self._completed[p] and ready is not None \
+        ready = p.ready_cycle
+        nonspec = p.nonspec_cycle
+        if p.completed and ready is not None \
                 and nonspec is not None and nonspec <= cycle:
             # The value must be *verified*, not merely computed: in pure
             # IR these coincide, but in the hybrid machine a completed
@@ -217,7 +201,7 @@ class ReuseEngine:
             # cycle can bypass into the decode-stage test, but a
             # same-cycle *reuse* is only visible through the dependence
             # pointers (the "d" of S_{n+d}) — handled below.
-            if ready == cycle and self._reuse_value[p] is None:
+            if ready == cycle and p.reuse_value is None:
                 return True
         # Dependence-pointer chaining: the producer's own reuse test
         # succeeded, so its result is known at decode.  Under EARLY
@@ -225,20 +209,20 @@ class ReuseEngine:
         # under LATE validation it is still speculative, and chaining on
         # it is only allowed when ``late_chain_detection`` relaxes the
         # test (see IRConfig).
-        if self._reuse_value[p] is not None \
+        if p.reuse_value is not None \
                 and self.config.dependence_chaining:
             if self.config.validation == IRValidation.EARLY:
                 return True
             return self.config.late_chain_detection
         return False
 
-    def _test_memory(self, i: int, entry: RBEntry,
+    def _test_memory(self, op: InflightOp, entry: RBEntry,
                      store_conflict: StoreConflictFn) -> ReuseDecision:
         if entry.address is None:
             return _MISS
         decision = ReuseDecision(entry=entry, address=True)
-        if (self._meta[i].is_load and entry.result_valid and entry.mem_valid
-                and not store_conflict(self._seq[i], entry.address,
+        if (op.meta.is_load and entry.result_valid and entry.mem_valid
+                and not store_conflict(op.seq, entry.address,
                                        entry.mem_bytes)):
             decision.full = True
         return decision
@@ -251,18 +235,18 @@ class ReuseEngine:
 
     # -- RB maintenance ---------------------------------------------------------------
 
-    def operand_signature(self, op) -> OperandSignature:
-        """Signature of an op-like object (CommittedOp views, tests)."""
+    def operand_signature(self, op: InflightOp) -> OperandSignature:
+        """The operand names+values an RB entry for *op* would store."""
         return _signature_from(op.meta, op.src_values)
 
-    def insert(self, i: int) -> None:
+    def insert(self, op: InflightOp) -> None:
         """Record a completed execution in the RB (wrong paths included)."""
-        meta = self._meta[i]
-        if self._reused[i] or not meta.reuse_eligible:
+        meta = op.meta
+        if op.reused or not meta.reuse_eligible:
             return
-        outcome = self._outcome[i]
+        outcome = op.outcome
         entry = RBEntry(pc=meta.pc,
-                        operands=_signature_from(meta, self._src_values[i]))
+                        operands=_signature_from(meta, op.src_values))
         if meta.is_branch:
             entry.result = int(outcome.taken)
         elif meta.is_indirect:
@@ -276,23 +260,22 @@ class ReuseEngine:
                 entry.result = outcome.result
                 # Data forwarded from a not-yet-committed store is not
                 # guaranteed against committed memory: address-only entry.
-                entry.result_valid = self._fwd[i] is None
+                entry.result_valid = op.forwarded_from is None
             else:
                 entry.result_valid = False
         else:
             entry.result = outcome.result
             entry.result_hi = outcome.result_hi
-        producers = self._producers[i]
+        producers = op.producers
         if producers:  # dependence pointers (the "d" of S_{n+d})
-            rb = self._rb
             entry.source_entries = tuple(
-                rb[producers[reg]] for reg in sorted(producers))
-        self._rb[i] = self.buffer.insert(entry)
+                producers[reg].rb_entry for reg in sorted(producers))
+        op.rb_entry = self.buffer.insert(entry)
 
-    def note_squashed(self, i: int) -> None:
+    def note_squashed(self, op: InflightOp) -> None:
         """The op was control-squashed after executing: its RB entry (if
         any) now represents recoverable wrong-path work (Table 5)."""
-        rb_entry = self._rb[i]
+        rb_entry = op.rb_entry
         if rb_entry is not None:
             rb_entry.from_squashed = True
             rb_entry.recovery_counted = False

@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..isa.instruction import format_instruction
 from .core import OutOfOrderCore
-from .entry import CommittedOp
+from .entry import InflightOp
 
 
 @dataclass
@@ -131,7 +131,7 @@ class PipelineTracer:
         self._previous_hook = core.on_commit
         core.on_commit = self._record
 
-    def _record(self, op: CommittedOp, cycle: int) -> None:
+    def _record(self, op: InflightOp, cycle: int) -> None:
         if self._previous_hook is not None:
             self._previous_hook(op, cycle)
         if cycle < self.start_cycle or len(self.records) >= self.limit:

@@ -12,9 +12,9 @@ file; a producer holds the lock while it re-checks the store and
 (re-)produces, so an entry is never computed twice and a reader can
 never observe a half-written file.
 
-On POSIX the lock is ``fcntl.flock`` (kernel-mediated, crash-safe: the
-lock dies with the process).  Where ``fcntl`` is unavailable the
-fallback is an ``O_CREAT | O_EXCL`` spin lock with a stale-lock timeout.
+The lock is ``fcntl.flock``: kernel-mediated and crash-safe, because
+the lock dies with the process that held it, so a killed worker can
+never leave a stale lock behind.  The stores are POSIX-only.
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 sanctioned write path for those stores (tempfile in the destination
@@ -29,21 +29,11 @@ so the discipline cannot silently fork.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Union
-
-try:  # POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
-# A fallback lock file older than this is presumed leaked by a dead
-# process and is broken.  flock locks never go stale, so this only
-# matters on platforms without fcntl.
-STALE_LOCK_SECONDS = 600.0
 
 
 class FileLock:
@@ -53,44 +43,20 @@ class FileLock:
     runner acquires one lock per cache key, once).
     """
 
-    def __init__(self, path: Path, poll_interval: float = 0.02) -> None:
+    def __init__(self, path: Path) -> None:
         self.path = Path(path)
-        self.poll_interval = poll_interval
         self._fd: int | None = None
 
     def acquire(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if fcntl is not None:
-            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-            return
-        self._acquire_spin()  # pragma: no cover - non-POSIX fallback
-
-    def _acquire_spin(self) -> None:  # pragma: no cover - non-POSIX
-        while True:
-            try:
-                self._fd = os.open(self.path,
-                                   os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o644)
-                os.write(self._fd, str(os.getpid()).encode())
-                return
-            except FileExistsError:
-                try:
-                    age = time.time() - self.path.stat().st_mtime
-                    if age > STALE_LOCK_SECONDS:
-                        self.path.unlink()
-                        continue
-                except OSError:
-                    pass  # raced with the holder's release
-                time.sleep(self.poll_interval)
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        fcntl.flock(self._fd, fcntl.LOCK_EX)
 
     def release(self) -> None:
         if self._fd is None:
             return
         try:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            else:  # pragma: no cover - non-POSIX fallback
-                self.path.unlink()
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
         finally:
             os.close(self._fd)
             self._fd = None

@@ -69,6 +69,15 @@ class TestIntervalSampling:
         assert all(c % 100 == 0 for c in cycles[:-1])
         assert cycles[-1] == core.stats.cycles
 
+    def test_occupancy_rows_stay_within_the_window(self):
+        core, sink = run_core(base_config(), interval=16, events=False)
+        rob_col = sink.series.column("rob_occupancy")
+        lsq_col = sink.series.column("lsq_occupancy")
+        assert rob_col and max(rob_col) > 0
+        for rob_occ, lsq_occ in zip(rob_col, lsq_col):
+            assert 0 <= rob_occ <= core.config.rob_size
+            assert 0 <= lsq_occ <= core.config.lsq_size
+
     def test_events_disabled_still_counts_interval_events(self):
         _, sink = run_core(vp_config(), interval=100, events=False)
         assert sink.trace is None

@@ -7,11 +7,23 @@ from repro.uarch.config import base_config
 from repro.uarch.core import OutOfOrderCore
 
 
-def committed(source):
+def committed(source, hook=None):
+    """The committed entries of *source*, in commit order.
+
+    Commit clears an entry's dataflow edges when the ``on_commit``
+    observer returns, so a check of ``producers`` goes in *hook*, which
+    sees each entry while its edges are still linked.
+    """
     config = dataclasses.replace(base_config(), verify_commits=True)
     core = OutOfOrderCore(config, assemble(source))
     ops = []
-    core.on_commit = lambda op, cycle: ops.append(op)
+
+    def observe(op, cycle):
+        ops.append(op)
+        if hook is not None:
+            hook(op)
+
+    core.on_commit = observe
     core.run(max_cycles=50_000)
     return ops
 
@@ -36,13 +48,20 @@ class TestHiLoDataflow:
         assert mult.final_value_for_reg(REG_HI) == 0
 
     def test_consumers_wired_to_right_halves(self):
-        ops = committed(MULT_PROGRAM)
+        linked = {}
+
+        def record(op):
+            linked[op.inst.opcode.name] = set(op.producers)
+
+        ops = committed(MULT_PROGRAM, record)
         mfhi = next(op for op in ops if op.inst.opcode.name == "mfhi")
         mflo = next(op for op in ops if op.inst.opcode.name == "mflo")
         assert mfhi.outcome.result == 0
         assert mflo.outcome.result == 42
-        assert REG_HI in mfhi.producers
-        assert REG_LO in mflo.producers
+        assert REG_HI in linked["mfhi"]
+        assert REG_LO in linked["mflo"]
+        # The edges are dropped once the observer returns.
+        assert not mfhi.producers and not mflo.producers
 
     def test_hi_ready_tracked_separately(self):
         ops = committed(MULT_PROGRAM)

@@ -29,8 +29,7 @@ from repro.uarch.config import (
     ir_config,
     vp_config,
 )
-from repro.uarch.core import OutOfOrderCore
-from repro.uarch.events import EVENT_COMPLETE
+from repro.uarch.core import EVENT_COMPLETE, OutOfOrderCore
 from repro.workloads.random_program import random_program
 
 MAX_CYCLES = 200_000  # far above any generated program's runtime
@@ -53,23 +52,22 @@ class InstrumentedCore(OutOfOrderCore):
         self._scheduled = defaultdict(list)  # seq -> completion cycles
         self.completion_log = []  # (cycle, seq) in processing order
 
-    def _schedule(self, cycle, kind, i):
+    def _schedule(self, cycle, kind, op):
         if kind == EVENT_COMPLETE:
-            self._scheduled[self.e_seq[i]].append(cycle)
-        super()._schedule(cycle, kind, i)
+            self._scheduled[op.seq].append(cycle)
+        super()._schedule(cycle, kind, op)
 
-    def _start_execution(self, i, address=None, forwarding=None):
-        addr_speculative = self.e_is_load[i] and (self.e_addr_reused[i]
-                                                  or self.e_addr_predicted[i])
-        if not addr_speculative \
-                and not self.pool.operands_ready(i, self.cycle):
+    def _start_execution(self, op, address=None, forwarding=None):
+        addr_speculative = op.is_load and (op.addr_reused
+                                           or op.addr_predicted)
+        if not addr_speculative and not op.operands_ready(self.cycle):
             self.violations.append(
-                f"{self.e_meta[i].opcode.name} seq={self.e_seq[i]} issued "
+                f"{op.meta.opcode.name} seq={op.seq} issued "
                 f"at cycle {self.cycle} before its operands were broadcast")
-        super()._start_execution(i, address, forwarding)
+        super()._start_execution(op, address, forwarding)
 
-    def _on_complete(self, i):
-        seq = self.e_seq[i]
+    def _on_complete(self, op):
+        seq = op.seq
         pending = self._scheduled.get(seq)
         if pending and self.cycle in pending:
             pending.remove(self.cycle)
@@ -78,7 +76,7 @@ class InstrumentedCore(OutOfOrderCore):
                 f"completion of seq={seq} fired at cycle {self.cycle}, "
                 f"which was never its scheduled completion cycle")
         self.completion_log.append((self.cycle, seq))
-        super()._on_complete(i)
+        super()._on_complete(op)
 
 
 def _run_instrumented(seed, size, factory):

@@ -9,14 +9,12 @@ byte-identical to the in-order functional simulator.
 ``verify_commits=True`` checks every committed destination write in
 lockstep, so a pass covers the whole commit stream.
 
-The structure-of-arrays core adds a second, independent checking path:
-a ``core.on_commit`` observer that rebuilds each committed instruction
-as a :class:`~repro.uarch.entry.CommittedOp` view from the pool arrays
-and replays it on a functional simulator stepped in lockstep —
-architectural-state equality *at commit*, per instruction, not just at
-halt.  The tiny-window class drives the same programs through a 6-entry
-ROB so every pool slot is recycled dozens of times under squash
-pressure.
+A second, independent checking path is a ``core.on_commit`` observer
+that replays each committed :class:`~repro.uarch.entry.InflightOp` on a
+functional simulator stepped in lockstep — architectural-state equality
+*at commit*, per instruction, not just at halt.  The tiny-window class
+drives the same programs through a 6-entry ROB, so squashes hit a
+nearly full window over and over.
 
 Hypothesis runs with ``derandomize=True``: the CI fuzz job is
 deterministic and time-bounded, per the repository determinism contract.
@@ -91,21 +89,14 @@ def check_generated(knobs: GeneratorKnobs, configs=ZOO_CONFIGS,
                 f"register {reg} diverged")
         assert _nonzero_pages(core.spec.memory) == reference_pages, (
             f"{config.name} on {knobs.name}: memory diverged")
-        # The run drained cleanly: commit and squash are both pure array
-        # resets, so a halted core holds no live or pinned pool slots.
-        assert core.pool.live == 0 and core.pool.pinned == 0, (
-            f"{config.name} on {knobs.name}: leaked pool slots "
-            f"(live={core.pool.live}, pinned={core.pool.pinned})")
 
 
 class _CommitLockstep:
     """``on_commit`` observer replaying each commit on a reference.
 
-    Exercises the pool's :class:`CommittedOp` view path (the per-object
-    snapshot built from the arrays at commit, before the slot's edges
-    drop) and checks every committed instruction's architectural effect
-    — PC, register writes, memory access, control outcome, next PC —
-    against an in-order functional simulator stepped in lockstep.
+    Checks every committed instruction's architectural effect — PC,
+    register writes, memory access, control outcome, next PC — against
+    an in-order functional simulator stepped in lockstep.
     """
 
     _FIELDS = ("operand_a", "operand_b", "next_pc", "result",
@@ -179,7 +170,7 @@ class TestKnobCorners:
 
 
 class TestCommitLockstep:
-    """Per-commit architectural equality through the CommittedOp path."""
+    """Per-commit architectural equality through the commit observer."""
 
     @pytest.mark.parametrize("redundancy,entropy", KNOB_CORNERS)
     def test_corner(self, redundancy, entropy):
@@ -198,13 +189,12 @@ class TestCommitLockstep:
 
 
 class TestTinyWindows:
-    """Slot-recycling pressure: windows far smaller than the program.
+    """Squash pressure: windows far smaller than the program.
 
     A 6-entry ROB over a dynamic stream hundreds of instructions long
-    forces the entry pool to recycle every slot dozens of times, with
-    squashes landing on freshly recycled ids — the free-list aliasing
-    scenario the SoA core must survive without a stale token ever
-    validating.
+    keeps the window full, so squashes keep landing on entries that
+    were dispatched a cycle or two earlier and still sit in the event
+    heap, the wakeup queue and their producers' consumer lists.
     """
 
     _TINY = [dataclasses.replace(config, rob_size=6, lsq_size=4,
