@@ -8,30 +8,27 @@ runs — through :class:`~repro.experiments.runner.ExperimentRunner` at
 * **cold**: empty result cache *and* empty checkpoint store (the first
   sweep on a fresh checkout);
 * **warm**: empty result cache but a populated warm-state checkpoint
-  store (every later sweep: the common case this PR optimises, since
-  the store is keyed on program content and survives cache-version
-  bumps, budget changes and CI cache restores).
+  store (every later sweep: the common case, since the store is keyed
+  on program content and survives cache-version bumps, budget changes
+  and CI cache restores).
 
-Results go to ``BENCH_sweep.json`` at the repo root.  The committed
-``baseline_seconds`` is the same kernel measured once on the
-pre-optimisation harness (generic ``execute`` dispatch, no checkpoint
-store) on the machine that produced the file; ``history`` accumulates
-one entry per benchmark run instead of overwriting, so a regression
-shows up as a trend, not a mystery.
-
-Like the core-throughput gate, this *warns* (never fails): wallclock
-noise across CI machines must not fail a correctness job, which is why
-this file lives in ``benchmarks/`` outside the tier-1 ``testpaths``.
+Both are scaled to simbench's reference host speed (``perf_record``)
+and recorded to ``BENCH_sweep.json`` at the repo root as
+``calibrated_cold_seconds`` and ``calibrated_warm_seconds``.  The gate
+*warns* (never fails) when either is more than 5% above the committed
+record: wallclock noise across CI machines must not fail a correctness
+job, which is why this file lives in ``benchmarks/`` outside the
+tier-1 ``testpaths``.
 """
 
-import json
 import tempfile
 import time
 import warnings
 from pathlib import Path
 
+import perf_record
+from perf_record import REGRESSION_TOLERANCE
 from repro.experiments.runner import ExperimentRunner
-from repro.metrics.bench_report import bounded_history
 from repro.uarch.config import (
     base_config,
     hybrid_config,
@@ -39,8 +36,7 @@ from repro.uarch.config import (
     vp_config,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_FILE = REPO_ROOT / "BENCH_sweep.json"
+BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
 
 CONFIG_FACTORIES = {
     "base": base_config,
@@ -63,9 +59,6 @@ WARMUP = 60_000
 WINDOW = 20_000
 
 REPEATS = 2
-TARGET_SPEEDUP = 3.0  # the acceptance bar for cold vs baseline
-# History is bounded by repro.metrics.bench_report.bounded_history —
-# the single helper both BENCH files share.
 
 
 def _run_kernel(cache_dir: Path, checkpoint_dir: Path) -> float:
@@ -85,39 +78,32 @@ def _run_kernel(cache_dir: Path, checkpoint_dir: Path) -> float:
 
 
 def measure() -> dict:
-    """Best-of-N cold and warm sweep times, in seconds."""
-    cold = warm = float("inf")
+    """Best-of-N calibrated cold and warm sweep seconds, and the run's
+    speed factor."""
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "checkpoints"  # persists across warm repeats
-        for repeat in range(REPEATS):
-            cold_base = Path(tmp) / f"cold{repeat}"
-            cold = min(cold, _run_kernel(cold_base / "results",
-                                         cold_base / "checkpoints"))
-            warm_results = Path(tmp) / f"warm{repeat}" / "results"
-            seconds = _run_kernel(warm_results, store)
-            if repeat:  # repeat 0 populated the store: that one was cold
-                warm = min(warm, seconds)
-    return {"cold_seconds": round(cold, 3),
-            "warm_seconds": round(warm, 3)}
+
+        def repetition():
+            cold = Path(tempfile.mkdtemp(dir=tmp))
+            warm = Path(tempfile.mkdtemp(dir=tmp))
+            return (_run_kernel(cold / "results", cold / "checkpoints"),
+                    _run_kernel(warm / "results", store))
+
+        runs, speed = perf_record.calibrated(repetition, REPEATS)
+    # The first warm run populated the store: that one was cold too.
+    cold_seconds = min(seconds for seconds, _ in runs)
+    warm_seconds = min(seconds for _, seconds in runs[1:])
+    return {"calibrated_cold_seconds": round(cold_seconds / speed, 3),
+            "calibrated_warm_seconds": round(warm_seconds / speed, 3),
+            "speed_factor": round(speed, 3)}
 
 
 def test_sweep_throughput_gate():
     measured = measure()
-    committed = {}
-    if BENCH_FILE.exists():
-        committed = json.loads(BENCH_FILE.read_text())
-    baseline = committed.get("baseline_seconds")
-
-    entry = dict(measured)
-    if baseline:
-        entry["speedup_vs_baseline"] = round(
-            baseline / measured["cold_seconds"], 2)
-        entry["warm_speedup_vs_baseline"] = round(
-            baseline / measured["warm_seconds"], 2)
-    history = bounded_history(committed.get("history"), entry)
-
-    record = {
-        "kernel": {
+    committed = perf_record.load(BENCH_FILE)
+    perf_record.rewrite(
+        BENCH_FILE, committed,
+        kernel={
             "timing": [list(pair) for pair in TIMING_KERNEL],
             "limit": [list(pair) for pair in LIMIT_KERNEL],
             "instructions": INSTRUCTIONS,
@@ -126,22 +112,14 @@ def test_sweep_throughput_gate():
             "window": WINDOW,
             "jobs": 1,
         },
-        "baseline_seconds": baseline,
-        **entry,
-        "history": history,
-    }
-    BENCH_FILE.write_text(json.dumps(record, indent=1) + "\n")
+        entry=measured)
 
-    if baseline:
-        speedup = baseline / measured["cold_seconds"]
-        if speedup < TARGET_SPEEDUP:
+    for key in ("calibrated_cold_seconds", "calibrated_warm_seconds"):
+        reference = committed.get(key)
+        if reference and measured[key] > reference * (
+                1 + REGRESSION_TOLERANCE):
             warnings.warn(
-                f"cold sweep {measured['cold_seconds']:.3f}s is only "
-                f"{speedup:.2f}x the {baseline:.3f}s baseline "
-                f"(target {TARGET_SPEEDUP:.1f}x)", stacklevel=1)
-    assert measured["cold_seconds"] > 0
-    assert measured["warm_seconds"] > 0
-
-
-if __name__ == "__main__":
-    print(json.dumps(measure(), indent=1))
+                f"{key} {measured[key]:.3f}s is more than "
+                f"{100 * REGRESSION_TOLERANCE:.0f}% above the committed "
+                f"{reference:.3f}s", stacklevel=1)
+        assert measured[key] > 0

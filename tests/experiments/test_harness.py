@@ -128,6 +128,23 @@ class TestAblations:
         assert report.rows[-1][0] == "HM"
         assert "hybrid speedup" in report.headers
 
+    def test_predictors_report(self, runner):
+        from repro.experiments import ablations
+        report = ablations.predictors(runner, workloads=["m88ksim"])
+        assert report.headers == ["bench", "VP_Magic", "VP_LVP",
+                                  "VP_Stride", "stride correct %"]
+        assert [row[0] for row in report.rows] == ["m88ksim", "HM"]
+        for row in report.rows:
+            assert all(value > 0 for value in row[1:4])
+
+    def test_chaining_report(self, runner):
+        from repro.experiments import ablations
+        report = ablations.chaining(runner, workloads=["m88ksim"])
+        assert report.headers == ["bench", "S_n speedup", "S_n+d speedup",
+                                  "S_n reuse %", "S_n+d reuse %"]
+        assert [row[0] for row in report.rows] == ["m88ksim"]
+        assert all(value > 0 for value in report.rows[0][1:3])
+
     def test_storage_sweep(self, runner):
         from repro.experiments import ablations
         report = ablations.storage(runner, workloads=["m88ksim"],
