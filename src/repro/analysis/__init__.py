@@ -15,15 +15,12 @@ Layout:
   the :class:`Analyzer` driver;
 * :mod:`repro.analysis.rules` — the rule catalogue (see
   ``docs/static-analysis.md``);
-* :mod:`repro.analysis.tables` — the cross-table exhaustiveness checker
-  (opcode table vs assembler vs compiled semantics vs FU pools);
 * :mod:`repro.analysis.reporters` — stable text/JSON/SARIF output;
 * :mod:`repro.analysis.cli` — the ``repro-lint`` console entry point.
 """
 
 from .core import Analyzer, Finding, ModuleInfo, Rule, Severity
 from .rules import default_rules
-from .tables import check_tables
 
 __all__ = [
     "Analyzer",
@@ -32,5 +29,4 @@ __all__ = [
     "Rule",
     "Severity",
     "default_rules",
-    "check_tables",
 ]

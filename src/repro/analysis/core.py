@@ -44,7 +44,7 @@ class Finding:
     """One rule violation at a source location."""
 
     path: str  # root-relative posix path
-    line: int  # 1-based; 0 for whole-file/project findings
+    line: int  # 1-based; 0 for whole-file findings
     rule: str
     message: str
     severity: Severity = Severity.ERROR
@@ -179,20 +179,6 @@ class Rule:
                        self.id, message, self.severity)
 
 
-class ProjectRule(Rule):
-    """A rule that checks cross-file invariants over a source root.
-
-    ``check`` is a no-op; the driver calls :meth:`check_project` once
-    per scanned root that contains a ``repro`` package.
-    """
-
-    def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, root: Path) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
 @dataclass
 class Report:
     """The outcome of one analyzer run."""
@@ -258,15 +244,12 @@ class Analyzer:
             select: Optional[Sequence[str]] = None) -> Report:
         """Analyze every Python file under *paths*.
 
-        *select* restricts to the named rule ids (project rules
-        included).  Findings come back sorted and deduplicated, with
-        waivers applied and waiver hygiene (bad/unused) reported.
+        *select* restricts to the named rule ids.  Findings come back
+        sorted and deduplicated, with waivers applied and waiver hygiene
+        (bad/unused) reported.
         """
         rules = [rule for rule in self.rules
                  if select is None or rule.id in select]
-        module_rules = [r for r in rules
-                        if not isinstance(r, ProjectRule)]
-        project_rules = [r for r in rules if isinstance(r, ProjectRule)]
 
         findings: List[Finding] = []
         files_checked = 0
@@ -283,12 +266,7 @@ class Analyzer:
                         relpath, exc.lineno or 0, "syntax-error",
                         f"file does not parse: {exc.msg}"))
                     continue
-                findings.extend(
-                    self._check_module(module, module_rules))
-            for rule in project_rules:
-                project_root = _project_root(top)
-                if project_root is not None:
-                    findings.extend(rule.check_project(project_root))
+                findings.extend(self._check_module(module, rules))
 
         unique = sorted(set(findings), key=Finding.sort_key)
         return Report(unique, files_checked, [r.id for r in rules])
@@ -314,13 +292,3 @@ class Analyzer:
                 f"waiver for [{rule_id}] matched no finding",
                 Severity.WARNING)
 
-
-def _project_root(path: Path) -> Optional[Path]:
-    """The directory containing the ``repro`` package, if *path* holds
-    one (the anchor the cross-table checker resolves files against)."""
-    path = path if path.is_dir() else path.parent
-    if (path / "repro" / "isa" / "opcodes.py").is_file():
-        return path
-    if path.name == "repro" and (path / "isa" / "opcodes.py").is_file():
-        return path.parent
-    return None

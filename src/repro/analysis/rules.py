@@ -14,7 +14,6 @@ import ast
 from typing import Dict, Iterator, List, Optional
 
 from .core import Finding, ModuleInfo, Rule
-from .tables import CrossTableRule
 
 #: Packages holding the simulation model proper: anything here runs
 #: inside a simulated machine and must be bit-deterministic.
@@ -413,43 +412,6 @@ def _assignment_base(target: ast.expr) -> Optional[str]:
     return None
 
 
-class FloatFreeCountersRule(Rule):
-    """``SimStats`` counters are exact integers.
-
-    Floats accumulate rounding that can differ across summation orders;
-    every derived ratio lives in a ``@property``.  A dataclass field on
-    ``SimStats`` annotated ``float`` (or defaulted to a float literal)
-    breaks the byte-exact cache/golden contract.
-    """
-
-    id = "float-free-counters"
-    description = ("SimStats dataclass fields must be int/bool/str "
-                   "counters; derived floats belong in properties")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) \
-                    or node.name != "SimStats":
-                continue
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign) \
-                        or not isinstance(stmt.target, ast.Name):
-                    continue
-                ann = stmt.annotation
-                if isinstance(ann, ast.Name) and ann.id == "float":
-                    yield self.finding(
-                        module, stmt,
-                        f"SimStats.{stmt.target.id} is annotated float: "
-                        "counters must stay integral (derived ratios "
-                        "are properties)")
-                elif isinstance(stmt.value, ast.Constant) \
-                        and isinstance(stmt.value.value, float):
-                    yield self.finding(
-                        module, stmt,
-                        f"SimStats.{stmt.target.id} defaults to a float "
-                        "literal: counters must stay integral")
-
-
 class MainGuardRule(Rule):
     """Every CLI module must be import-safe.
 
@@ -497,7 +459,7 @@ def _is_main_guard(test: ast.expr) -> bool:
 
 
 def default_rules() -> List[Rule]:
-    """The full shipped rule set, cross-table checker included."""
+    """The full shipped rule set."""
     return [
         NoWallclockRule(),
         MonotonicTimeRule(),
@@ -505,7 +467,5 @@ def default_rules() -> List[Rule]:
         NoBuiltinHashRule(),
         AtomicWriteRule(),
         TelemetryPurityRule(),
-        FloatFreeCountersRule(),
         MainGuardRule(),
-        CrossTableRule(),
     ]

@@ -140,7 +140,12 @@ def _load_program(args):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, value in (("--instructions", args.instructions),
+                        ("--max-cycles", args.max_cycles)):
+        if value < 1:
+            parser.error(f"{flag} must be positive, got {value}")
     program_fn, skip, label = _load_program(args)
 
     # One program image for every configuration (it is immutable), and

@@ -149,7 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.instructions < 1:
+        parser.error(f"--instructions must be positive, "
+                     f"got {args.instructions}")
     overrides = {"max_instructions": args.instructions,
                  "verify": args.verify,
                  "jobs": args.jobs}

@@ -4,9 +4,10 @@ Every table/figure experiment needs timing-simulation results for some
 (workload x configuration) pairs; many pairs are shared between
 experiments (e.g. the base run is the denominator of every speedup).
 :class:`ExperimentRunner` runs each pair once and caches the resulting
-:class:`SimStats` as JSON, keyed by workload, configuration name, window
-size and a hash of the workload source — so editing a workload
-invalidates its cached results automatically.
+:class:`SimStats` as JSON, keyed by workload, configuration name, a
+digest of every configuration field, window size and a hash of the
+workload source — so editing a workload or a configuration default
+invalidates the affected cached results automatically.
 
 Pairs are independent simulations, so :meth:`ExperimentRunner.run_many`
 fans the uncached ones out over a ``multiprocessing`` pool (``jobs=1``
@@ -56,6 +57,7 @@ from ..functional.simulator import FunctionalSimulator
 from ..isa.program import Program
 from ..metrics.stats import SimStats
 from ..redundancy.reusability import ReusabilityAnalyzer
+from ..telemetry.manifest import config_digest
 from ..telemetry.progress import PROGRESS_FILE, ProgressWriter
 from ..uarch.config import MachineConfig
 from ..workloads import WorkloadSpec, all_workloads, get_workload
@@ -66,7 +68,7 @@ try:  # POSIX; without it run manifests carry no CPU/RSS fields.
 except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None  # type: ignore[assignment]
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 DEFAULT_INSTRUCTIONS = 20_000
 DEFAULT_MAX_CYCLES = 600_000
@@ -223,13 +225,20 @@ class ExperimentRunner:
         Returns ``{(workload, config.name): SimStats}`` for every input
         pair.  Duplicates are deduplicated by cache key; already-cached
         pairs never reach the pool.  With ``jobs=1`` (or one pending
-        pair) this is exactly the serial path.
+        pair) this is exactly the serial path.  Raises ``ValueError``
+        when two different configurations share a name, since the
+        result would keep only one of them.
         """
         pairs = list(pairs)
         jobs = self._effective_jobs(jobs)
         sweep_started = time.perf_counter()
         unique: Dict[str, Pair] = {}
+        named: Dict[str, MachineConfig] = {}
         for workload, config in pairs:
+            if named.setdefault(config.name, config) != config:
+                raise ValueError(
+                    f"two different configurations are named "
+                    f"{config.name!r}; run_many keys results by name")
             key = self._key(get_workload(workload), config)
             unique.setdefault(key, (workload, config))
 
@@ -472,6 +481,7 @@ class ExperimentRunner:
 
     def _key(self, spec: WorkloadSpec, config: MachineConfig) -> str:
         return (f"v{CACHE_VERSION}-{spec.name}-{config.name}"
+                f"-{config_digest(config)}"
                 f"-i{self.max_instructions}-c{self.max_cycles}"
                 f"-{self._source_sha(spec)}")
 

@@ -7,11 +7,10 @@ three-way loop over the per-static-instruction closures built by
 once for all three call sites.
 
 The halt sentinel is *passed in* rather than imported: the closures and
-their sentinel stay in ``functional/compiled.py`` (the repro-lint
-cross-table rule audits them there), and identity comparison against a
-caller-supplied object keeps this module free of imports, so
-``simulator.py`` (which ``compiled.py`` imports) can import it at
-module level.
+their sentinel stay in ``functional/compiled.py``, and identity
+comparison against a caller-supplied object keeps this module free of
+imports, so ``simulator.py`` (which ``compiled.py`` imports) can import
+it at module level.
 """
 
 from __future__ import annotations

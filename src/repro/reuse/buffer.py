@@ -83,16 +83,6 @@ class ReuseBuffer:
         """All instances currently stored for the instruction at *pc*."""
         return [entry for entry in self._set_for(pc) if entry.pc == pc]
 
-    def iter_instances(self, pc: int):
-        """Iterate instances for *pc* without building a list.
-
-        Callers must not mutate the set (insert/touch) mid-iteration;
-        the reuse test reads first and touches the winner afterwards.
-        """
-        for entry in self.sets[(pc >> 2) & self.set_mask]:
-            if entry.pc == pc:
-                yield entry
-
     def touch(self, entry: RBEntry) -> None:
         """Mark *entry* most recently used."""
         ways = self._set_for(entry.pc)

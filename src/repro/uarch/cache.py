@@ -59,9 +59,6 @@ class SetAssocCache:
         """Access and return latency: 0 extra on hit, miss penalty on miss."""
         return 0 if self.access(address) else self.config.miss_latency
 
-    def line_address(self, address: int) -> int:
-        return address >> self.line_shift
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

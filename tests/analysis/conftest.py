@@ -2,9 +2,7 @@
 
 ``lint_tree`` materializes fixture source files under a synthetic
 ``repro/<package>/`` tree (so package-scoped rules see the paths they
-key on) and runs the analyzer over it.  Fixture trees never contain
-``repro/isa/opcodes.py``, so the cross-table project rule stays inert
-unless a test builds a table tree on purpose.
+key on) and runs the analyzer over it.
 """
 
 import textwrap

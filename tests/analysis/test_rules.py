@@ -230,38 +230,6 @@ def test_telemetry_purity_scoped_to_telemetry(lint_one):
     assert not rules_hit(findings, "telemetry-purity")
 
 
-# -- float-free-counters ----------------------------------------------------------
-
-def test_float_field_flagged(lint_one):
-    findings = lint_one("repro/metrics/mod.py", """\
-        from dataclasses import dataclass
-
-        @dataclass
-        class SimStats:
-            cycles: int = 0
-            ipc: float = 0.0
-            committed = 1.5
-    """)
-    hits = rules_hit(findings, "float-free-counters")
-    assert len(hits) == 1 and "ipc" in hits[0].message
-
-
-def test_int_counters_with_property_clean(lint_one):
-    findings = lint_one("repro/metrics/mod.py", """\
-        from dataclasses import dataclass
-
-        @dataclass
-        class SimStats:
-            cycles: int = 0
-            committed: int = 0
-
-            @property
-            def ipc(self) -> float:
-                return self.committed / self.cycles if self.cycles else 0.0
-    """)
-    assert not rules_hit(findings, "float-free-counters")
-
-
 # -- main-guard -------------------------------------------------------------------
 
 def test_unguarded_cli_flagged(lint_one):

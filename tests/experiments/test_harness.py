@@ -27,7 +27,11 @@ from repro.experiments import (
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
 from repro.experiments.configs import BASE, IR_EARLY, vp_magic
 from repro.metrics.report import Report
+from repro.uarch.config import base_config
 from repro.workloads import workload_names
+
+#: A base machine with a different body under the stock name "base".
+NARROW = base_config(rob_size=8, issue_width=1)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,28 @@ class TestRunnerCaching:
         base = runner.run("m88ksim", BASE)
         reuse = runner.run("m88ksim", IR_EARLY)
         assert reuse.config_name != base.config_name
+
+    def test_same_name_different_config_is_another_cell(self, runner):
+        stock = runner.run("compress", base_config())
+        narrow = runner.run("compress", NARROW)
+        fresh = ExperimentRunner(max_instructions=2_000, max_cycles=80_000,
+                                 quiet=True).run("compress", NARROW)
+        assert narrow.cycles == fresh.cycles != stock.cycles
+
+    def test_disk_cache_keys_on_config_contents(self, tmp_path):
+        def fresh_runner():
+            return ExperimentRunner(max_instructions=2_000,
+                                    max_cycles=80_000, cache_dir=tmp_path,
+                                    quiet=True)
+        stock = fresh_runner().run("compress", base_config())
+        narrow = fresh_runner().run("compress", NARROW)
+        assert narrow.cycles != stock.cycles
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_run_many_rejects_two_configs_with_one_name(self, runner):
+        with pytest.raises(ValueError, match="named 'base'"):
+            runner.run_many([("compress", base_config()),
+                             ("go", NARROW)])
 
     def test_redundancy_run(self, runner):
         analyzer = runner.run_redundancy("m88ksim", warmup=2_000,
@@ -119,6 +145,12 @@ class TestCli:
         assert main(["figure8"]) == 0
         output = capsys.readouterr().out
         assert "Figure 8" in output
+
+    def test_non_positive_instructions_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3", "--instructions", "0", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "--instructions must be positive" in capsys.readouterr().err
 
 
 class TestAblations:

@@ -1,9 +1,20 @@
-"""Unit tests for opcode semantics and register parsing."""
+"""Unit tests for opcode semantics and register parsing, and a run of
+every registered opcode through every table that must agree on it."""
 
 import pytest
 
+from repro.functional.compiled import HALT, CompiledProgram, compile_exec
+from repro.functional.simulator import (
+    ArchState,
+    ExecOutcome,
+    FunctionalSimulator,
+    execute,
+)
+from repro.isa import assemble
 from repro.isa import opcodes as op
+from repro.isa.instruction import format_instruction
 from repro.isa.opcodes import (
+    Format,
     OpClass,
     all_opcodes,
     div_hi_lo,
@@ -13,6 +24,9 @@ from repro.isa.opcodes import (
     s32,
     u32,
 )
+from repro.uarch.config import MachineConfig
+from repro.uarch.decode import StaticOp
+from repro.uarch.functional_units import FunctionalUnits
 
 
 class TestWrapHelpers:
@@ -157,3 +171,108 @@ class TestFormatEnum:
         from repro.isa.opcodes import Format
         values = [member.value for member in Format]
         assert len(values) == len(set(values))
+
+
+# -- every opcode through every table -----------------------------------------
+#
+# One opcode lives in seven places: the opcode table, the assembler,
+# format_instruction (the disassembler), the interpreted execute(), the
+# compile_exec and compile_ff closures, and the functional-unit pools.
+# Each case below runs one opcode through all of them, so a table that
+# misses an opcode (or disagrees on what it computes) fails by name.
+
+#: One operand template per Format.  $t1 points at ``buf``, $t2 holds a
+#: value, $t3 holds the address of ``done`` (the jr/jalr target) and HI/LO
+#: are set by the prelude's mult.
+TEMPLATES = {
+    Format.RRR: "{op} $t3, $t1, $t2",
+    Format.RRI: "{op} $t3, $t1, -3",
+    Format.RI: "{op} $t3, 0x1234",
+    Format.RR: "{op} $t1, $t2",
+    Format.RR2: "{op} $t3, $t2",
+    Format.R: "{op} $t3",
+    Format.MEM: "{op} $t2, 4($t1)",
+    Format.BRANCH2: "{op} $t1, $t2, done",
+    Format.BRANCH1: "{op} $t2, done",
+    Format.BRANCH0: "{op} done",
+    Format.JUMP: "{op} done",
+    Format.NONE: "{op}",
+}
+
+PROGRAM = """\
+        .data
+buf:    .word 0x11223344, -7, 0x40490fdb
+        .text
+main:   la $t1, buf
+        li $t2, 0x40490fdb
+        la $t3, done
+        mult $t1, $t2
+probe:  {line}
+        nop
+done:   halt
+"""
+
+
+def test_templates_cover_every_format():
+    assert set(TEMPLATES) == set(Format)
+
+
+def test_functional_units_pool_every_op_class():
+    units = FunctionalUnits(MachineConfig())
+    assert set(units.pools) == set(OpClass)
+    assert None not in units.pool_list
+
+
+def _clone(state, program):
+    copy = ArchState(program)
+    copy.regs = list(state.regs)
+    copy.memory = state.memory.copy()
+    copy.pc = state.pc
+    return copy
+
+
+def _machine(state):
+    return state.regs, state.memory.snapshot_pages()
+
+
+def _fields(outcome):
+    return {name: getattr(outcome, name) for name in ExecOutcome.__slots__}
+
+
+@pytest.mark.parametrize("name", sorted(all_opcodes()))
+def test_opcode_agrees_across_tables(name):
+    opcode = lookup(name)
+    line = TEMPLATES[opcode.fmt].format(op=name)
+    program = assemble(PROGRAM.format(line=line))
+    pc = program.symbol("probe")
+    inst = program.fetch(pc)
+    assert inst.opcode is opcode
+
+    # Assembler and disassembler agree.
+    assert assemble(format_instruction(inst), text_base=pc).fetch(pc) == inst
+
+    sim = FunctionalSimulator(program, compiled=False)
+    while sim.pc != pc:
+        sim.step()
+
+    # compile_exec matches the interpreted reference field for field.
+    reference = _clone(sim.state, program)
+    expected = execute(inst, reference)
+    compiled = _clone(sim.state, program)
+    assert _fields(compile_exec(inst)(compiled)) == _fields(expected)
+    assert _machine(compiled) == _machine(reference)
+
+    # compile_ff (the warm-up lane) makes the same mutations.
+    entry = CompiledProgram(program).ff_entry(pc)
+    if opcode.is_halt:
+        assert entry is HALT
+    else:
+        fast = _clone(sim.state, program)
+        assert entry(fast) == expected.next_pc
+        assert _machine(fast) == _machine(reference)
+
+    # The timing core decodes it onto a functional-unit pool.
+    static = StaticOp(inst)
+    units = FunctionalUnits(MachineConfig())
+    assert units.pool_list[static.op_class_index] \
+        is units.pools[opcode.op_class]

@@ -1,10 +1,14 @@
 """Unit tests for statistics and derived metrics."""
 
 import json
+import typing
 
 import pytest
 
 from repro.metrics import SimStats, harmonic_mean, speedup
+from repro.uarch.config import hybrid_config, vp_config
+from repro.uarch.core import OutOfOrderCore
+from repro.workloads import get_workload
 
 
 class TestDerivedMetrics:
@@ -136,6 +140,31 @@ class TestCanonicalJson:
         stats.exec_count_histogram["1"] = 1
         with pytest.raises(ValueError, match="mixed str/int"):
             stats.canonical_json()
+
+
+class TestIntegralCounters:
+    """Counters are exact integers and derived ratios are properties:
+    float sums depend on summation order, so a float counter would break
+    the byte-exact result cache and golden corpus."""
+
+    def test_fields_are_integral(self):
+        hints = typing.get_type_hints(SimStats)
+        allowed = (int, bool, str, typing.Dict[int, int])
+        assert [name for name in SimStats.__dataclass_fields__
+                if hints[name] not in allowed] == []
+
+    @pytest.mark.parametrize("factory", [vp_config, hybrid_config])
+    def test_simulated_counters_hold_no_float(self, factory):
+        spec = get_workload("compress")
+        core = OutOfOrderCore(factory(), spec.program())
+        core.skip(spec.skip_instructions)
+        payload = core.run(max_cycles=80_000,
+                           max_instructions=2_000).as_dict()
+        histogram = payload.pop("exec_count_histogram")
+        values = list(payload.values()) + list(histogram) \
+            + list(histogram.values())
+        assert histogram
+        assert [v for v in values if isinstance(v, float)] == []
 
 
 class TestAggregation:

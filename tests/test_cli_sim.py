@@ -69,6 +69,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "m88ksim" in out
 
+    @pytest.mark.parametrize("flag", ["--instructions", "--max-cycles"])
+    def test_non_positive_budget_rejected(self, source_file, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(source_file), flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
     def test_missing_input_rejected(self):
         with pytest.raises(SystemExit):
             main([])
