@@ -96,8 +96,8 @@ def measure_ips():
 
 
 #: The sweep slice timed for the tracing overhead: a cold jobs=1
-#: fan-out, plain vs fully observed (--telemetry-dir semantics:
-#: interval series + live progress).
+#: fan-out, plain vs observed (--telemetry-dir semantics: the per-run
+#: interval series).
 TRACING_PAIRS = [("compress", base_config), ("compress", hybrid_config),
                  ("ijpeg", base_config), ("ijpeg", hybrid_config)]
 TRACING_INSTRUCTIONS = 4_000
@@ -135,7 +135,7 @@ OVERHEADS = [
     # Interval sampling + the event ring buffer on every kernel core.
     ("telemetry_overhead", lambda: _run_kernel()[1],
      lambda: _run_kernel(_telemetry)[1]),
-    # Interval series + live progress over a cold sweep.
+    # The per-run interval series over a cold sweep.
     ("tracing_overhead", lambda: _run_sweep(traced=False),
      lambda: _run_sweep(traced=True)),
     # The per-phase timers of ``repro-sim --profile``.

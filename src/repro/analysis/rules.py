@@ -98,68 +98,6 @@ class NoWallclockRule(Rule):
                         "time")
 
 
-#: Module basenames (under ``repro/telemetry/``) whose *durations* are
-#: part of the observability contract: heartbeat timestamps and ages
-#: must come from monotonic clocks only, never wallclock.
-MONOTONIC_TRACING_MODULES = ("progress.py",)
-
-#: ``time.`` functions that observe wallclock or convert to/from it.
-_WALLCLOCK_TIME_FNS = frozenset((
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.mktime", "time.strftime", "time.strptime", "time.ctime",
-    "time.asctime",
-))
-
-
-class MonotonicTimeRule(Rule):
-    """Progress timing must be monotonic.
-
-    The tracing module (``repro/telemetry/progress.py``) stamps
-    heartbeats that a tailing reader turns into ages and an ETA; a
-    wallclock read there would make them jump on NTP steps.
-    ``time.monotonic`` / ``time.perf_counter`` (and ``time.sleep``) are
-    allowed; ``time.time`` and friends, and any ``datetime`` import,
-    are not.
-    """
-
-    id = "monotonic-tracing"
-    description = ("the telemetry tracing module (progress.py) may "
-                   "only read monotonic clocks — no time.time or "
-                   "datetime")
-
-    def _applies(self, module: ModuleInfo) -> bool:
-        parts = module.relpath.split("/")
-        return module.in_package("telemetry") \
-            and parts[-1] in MONOTONIC_TRACING_MODULES
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not self._applies(module):
-            return
-        imports = _import_map(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names: List[str] = []
-                if isinstance(node, ast.Import):
-                    names = [alias.name.split(".")[0]
-                             for alias in node.names]
-                elif node.level == 0 and node.module:
-                    names = [node.module.split(".")[0]]
-                for name in names:
-                    if name == "datetime":
-                        yield self.finding(
-                            module, node,
-                            "datetime import in a tracing module: "
-                            "heartbeat timing must be monotonic")
-            elif isinstance(node, ast.Call):
-                origin = _resolve(node.func, imports)
-                if origin in _WALLCLOCK_TIME_FNS:
-                    yield self.finding(
-                        module, node,
-                        f"{origin}() in a tracing module: use "
-                        "time.monotonic/perf_counter so durations "
-                        "never depend on the host wallclock")
-
-
 class SortedSerializationRule(Rule):
     """Serialized bytes must not depend on dict/set iteration order.
 
@@ -261,7 +199,7 @@ class NoBuiltinHashRule(Rule):
 class AtomicWriteRule(Rule):
     """Files are written only through the audited write paths in
     ``repro/util/locking.py`` (:func:`atomic_write_bytes`,
-    :func:`atomic_write_text`, :func:`append_line`).
+    :func:`atomic_write_text`).
 
     Outside ``repro/util`` two kinds of call are flagged:
 
@@ -304,7 +242,7 @@ class AtomicWriteRule(Rule):
                     module, node,
                     f"raw write {raw} outside repro.util: a reader can "
                     "observe a partial file; use repro.util.locking."
-                    "atomic_write_text/bytes (append_line for logs)")
+                    "atomic_write_text/bytes")
 
 
 #: ``open``-style functions taking the mode as their second argument.
@@ -462,7 +400,6 @@ def default_rules() -> List[Rule]:
     """The full shipped rule set."""
     return [
         NoWallclockRule(),
-        MonotonicTimeRule(),
         SortedSerializationRule(),
         NoBuiltinHashRule(),
         AtomicWriteRule(),

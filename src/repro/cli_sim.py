@@ -142,10 +142,16 @@ def _load_program(args):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value in (("--instructions", args.instructions),
-                        ("--max-cycles", args.max_cycles)):
-        if value < 1:
-            parser.error(f"{flag} must be positive, got {value}")
+    for flag, value, least in (
+            ("--instructions", args.instructions, 1),
+            ("--max-cycles", args.max_cycles, 1),
+            ("--skip", args.skip, 0),
+            ("--telemetry-interval", args.telemetry_interval, 1),
+            ("--trace-buffer", args.trace_buffer, 1)):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be "
+                         f"{'positive' if least else 'non-negative'}, "
+                         f"got {value}")
     program_fn, skip, label = _load_program(args)
 
     # One program image for every configuration (it is immutable), and

@@ -151,9 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.instructions < 1:
-        parser.error(f"--instructions must be positive, "
-                     f"got {args.instructions}")
+    for flag, value in (("--instructions", args.instructions),
+                        ("--jobs", args.jobs),
+                        ("--telemetry-interval", args.telemetry_interval)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be positive, got {value}")
     overrides = {"max_instructions": args.instructions,
                  "verify": args.verify,
                  "jobs": args.jobs}

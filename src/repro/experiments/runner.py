@@ -58,7 +58,6 @@ from ..isa.program import Program
 from ..metrics.stats import SimStats
 from ..redundancy.reusability import ReusabilityAnalyzer
 from ..telemetry.manifest import config_digest
-from ..telemetry.progress import PROGRESS_FILE, ProgressWriter
 from ..uarch.config import MachineConfig
 from ..workloads import WorkloadSpec, all_workloads, get_workload
 from ..util.locking import FileLock, atomic_write_text
@@ -111,10 +110,11 @@ class ExperimentRunner:
         self.jobs = jobs
         self.mp_start_method = mp_start_method
         # Run manifests (repro.telemetry.manifest): one provenance and
-        # timing record per simulated pair and per sweep.  They live in
-        # a subdirectory of the result cache — the determinism contract
-        # covers the top-level *.json result bytes only, and manifests
-        # carry wallclock/host facts that legitimately differ between
+        # timing record per simulated pair and per sweep, which is also
+        # what repro-top follows live.  They live in a subdirectory of
+        # the result cache — the determinism contract covers the
+        # top-level *.json result bytes only, and manifests carry
+        # wallclock/host facts that legitimately differ between
         # byte-identical sweeps.
         self.manifest_dir = (self.cache_dir / "manifests"
                              if manifests and self.cache_dir is not None
@@ -122,18 +122,9 @@ class ExperimentRunner:
         # Optional per-run interval telemetry: uncached runs attach a
         # TelemetrySink (interval collector only; no event ring buffer)
         # and write <cache key>.jsonl here.  Cache keys are unchanged, so
-        # capturing telemetry never invalidates existing results.  The
-        # live progress stream behind repro-top (repro.telemetry.progress)
-        # goes to the same directory; it is observation-only too
-        # (tests/experiments/test_tracing.py).
+        # capturing telemetry never invalidates existing results.
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
         self.telemetry_interval = telemetry_interval
-        self._progress: Optional[ProgressWriter] = (
-            ProgressWriter(self.telemetry_dir / PROGRESS_FILE)
-            if self.telemetry_dir is not None else None)
-        # Keys already counted in the progress stream, so a cell asked
-        # for by several experiments is counted once.
-        self._progressed: set = set()
         # Warm-state checkpoints (repro.functional.checkpoint): every
         # configuration of a workload shares one warm-up.  The store
         # defaults to a subdirectory of the result cache so sweeps from
@@ -176,13 +167,11 @@ class ExperimentRunner:
         key = self._key(spec, config)
         cached = self._load(key)
         if cached is not None:
-            self._progress_cache_hit(key)
             return cached
         with self._lock(key):
             # Another process may have produced the entry while we waited.
             cached = self._load(key)
             if cached is not None:
-                self._progress_cache_hit(key)
                 return cached
             return self._job(key, spec, workload, config)
 
@@ -190,9 +179,6 @@ class ExperimentRunner:
              config: MachineConfig) -> SimStats:
         """One uncached cell: simulate and store it, then write its run
         manifest with the phase times and the job's resource use."""
-        if self._progress is not None:
-            self._progressed.add(key)
-            self._progress.job_start(key, workload, config.name)
         usage_before = _rusage()
         phases: Dict[str, float] = {}
         started = time.perf_counter()
@@ -205,17 +191,7 @@ class ExperimentRunner:
                                  cache_hit=False, wallclock=elapsed,
                                  phases=phases,
                                  usage=_usage_since(usage_before))
-        if self._progress is not None:
-            self._progress.job_done(key, elapsed, stats.committed)
         return stats
-
-    def _progress_cache_hit(self, key: str) -> None:
-        """Count a cache-served cell in the progress stream, once per
-        key per runner however many experiments ask for it."""
-        if self._progress is None or key in self._progressed:
-            return
-        self._progressed.add(key)
-        self._progress.cache_hit(key)
 
     def run_many(self, pairs: Iterable[Pair],
                  jobs: Optional[int] = None
@@ -228,6 +204,13 @@ class ExperimentRunner:
         pair) this is exactly the serial path.  Raises ``ValueError``
         when two different configurations share a name, since the
         result would keep only one of them.
+
+        With a manifest directory, cache-served pairs that have no run
+        manifest get a ``cache_hit`` one first; then, if anything is
+        left to simulate, the sweep manifest is written before the
+        first simulation (``wallclock_seconds`` null: running) and again
+        at the end.  A sweep with nothing to simulate writes none, so
+        it never overwrites the record of the sweep that did the work.
         """
         pairs = list(pairs)
         jobs = self._effective_jobs(jobs)
@@ -253,29 +236,44 @@ class ExperimentRunner:
             else:
                 pending.append((key, workload, config))
 
-        if self._progress is not None and unique:
-            self._progress.sweep_start(
-                total=len(unique), cached=len(cached_keys),
-                pending=len(pending),
-                jobs=1 if len(pending) <= 1 else min(jobs, len(pending)))
+        # Backfill before the sweep manifest: a reader following the
+        # sweep counts only run manifests written after it.
         for key in cached_keys:
-            self._progress_cache_hit(key)
+            if self.manifest_dir is None \
+                    or (self.manifest_dir / f"{key}.json").exists():
+                continue
+            workload, config = unique[key]
+            self._write_run_manifest(
+                key, get_workload(workload), workload, config,
+                results[(workload, config.name)],
+                cache_hit=True, wallclock=None)
+        if not pending:
+            return results
+        total = len(pending)
+        workers = min(jobs, total)
+        self._write_sweep_manifest(unique, total, workers, None)
 
-        if len(pending) <= 1 or jobs <= 1:
+        if workers <= 1:
             for _, workload, config in pending:
                 results[(workload, config.name)] = self.run(workload, config)
-            self._finish_sweep(unique, results, cached_keys,
-                               simulated=len(pending), jobs=1,
-                               started=sweep_started)
-            return results
+        else:
+            self._fan_out(pending, workers, results)
+        self._write_sweep_manifest(unique, total, workers,
+                                   time.perf_counter() - sweep_started)
+        return results
 
+    def _fan_out(self, pending: List[Tuple[str, str, MachineConfig]],
+                 workers: int,
+                 results: Dict[Tuple[str, str], SimStats]) -> None:
+        """Simulate *pending* on a pool of *workers* processes into
+        *results* and this process's memory cache."""
         ctx = multiprocessing.get_context(self.mp_start_method)
         settings = self.settings()
         # Children are silent (the parent narrates) and serial.
         settings.update(quiet=True, jobs=1)
         total, done = len(pending), 0
         started = time.perf_counter()
-        with ctx.Pool(processes=min(jobs, total),
+        with ctx.Pool(processes=workers,
                       initializer=_worker_init,
                       initargs=(settings,)) as pool:
             tasks = [(workload, config) for _, workload, config in pending]
@@ -289,55 +287,27 @@ class ExperimentRunner:
                           f"({stats.committed} insts, {elapsed:.1f}s)",
                           flush=True)
         if not self.quiet:
-            print(f"[run] {total} simulations on {min(jobs, total)} workers "
+            print(f"[run] {total} simulations on {workers} workers "
                   f"in {time.perf_counter() - started:.1f}s", flush=True)
         # Adopt the children's results into this process's memory cache.
-        # A worker already streamed their progress, so a later
-        # cache-served lookup must not count them again.
         for key, workload, config in pending:
             self._memory_cache[key] = results[(workload, config.name)]
-            self._progressed.add(key)
-        self._finish_sweep(unique, results, cached_keys,
-                           simulated=len(pending),
-                           jobs=min(jobs, total), started=sweep_started)
-        return results
 
-    def _finish_sweep(self, unique: Dict[str, Pair],
-                      results: Dict[Tuple[str, str], SimStats],
-                      cached_keys: List[str], simulated: int, jobs: int,
-                      started: float) -> None:
-        """Progress + manifest bookkeeping at the end of one
-        :meth:`run_many`.
-
-        Writes the ``sweep_done`` progress record, then backfills
-        ``cache_hit=True`` run manifests for pairs that were served
-        from a cache populated before manifests existed and writes the
-        sweep manifest.  Manifest steps are a no-op without a manifest
-        directory.
-        """
-        if not unique:
-            return
-        if self._progress is not None:
-            self._progress.sweep_done(
-                total=len(unique), simulated=simulated,
-                wall_s=time.perf_counter() - started)
+    def _write_sweep_manifest(self, unique: Dict[str, Pair],
+                              simulated: int, jobs: int,
+                              wallclock: Optional[float]) -> None:
+        """Write the manifest of one :meth:`run_many` sweep (a no-op
+        without a manifest directory); *wallclock* ``None`` marks it
+        running."""
         if self.manifest_dir is None:
             return
         from ..telemetry.manifest import sweep_manifest, write_manifest
-        for key in cached_keys:
-            if (self.manifest_dir / f"{key}.json").exists():
-                continue
-            workload, config = unique[key]
-            self._write_run_manifest(
-                key, get_workload(workload), workload, config,
-                results[(workload, config.name)],
-                cache_hit=True, wallclock=None)
         manifest = sweep_manifest(
             run_keys=list(unique),
             simulated=simulated,
             cached=len(unique) - simulated,
             jobs=jobs,
-            wallclock_seconds=time.perf_counter() - started)
+            wallclock_seconds=wallclock)
         write_manifest(
             self.manifest_dir / f"sweep-{manifest['sweep_digest']}.json",
             manifest)
@@ -409,18 +379,10 @@ class ExperimentRunner:
             # interactive runs (repro-sim --trace-out), not bulk sweeps.
             sink = core.enable_telemetry(
                 interval=self.telemetry_interval, events=False)
-            # Throttled mid-simulation heartbeats so a long cell stays
-            # visibly alive in repro-top (progress is on whenever a
-            # telemetry directory is).
-            sink.on_sample = (
-                lambda cycle, committed: self._progress.heartbeat(
-                    current=key, cycles=cycle, committed=committed))
         started = time.perf_counter()
         if self.checkpoints is not None:
             core.restore_warm(
                 self.checkpoints.get(program, spec.skip_instructions))
-            if self._progress is not None:
-                self._progress.checkpoint(self.checkpoints.last_source)
         else:
             core.skip(spec.skip_instructions)
         phases["warm-restore"] = time.perf_counter() - started

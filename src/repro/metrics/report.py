@@ -239,8 +239,7 @@ def telemetry_dashboard(results_dir,
     if telemetry_dir.is_dir():
         paths = sorted(p for p in telemetry_dir.iterdir()
                        if p.suffix.lower() in (".jsonl", ".csv")
-                       and ".trace." not in p.name
-                       and p.name != "progress.jsonl")
+                       and ".trace." not in p.name)
         series_report = _timeseries_report(paths)
         if series_report is not None:
             reports.append(series_report)

@@ -1,7 +1,7 @@
 """Observability for the simulator: traces, time-series, manifests.
 
-Four layers, all observation-only (the golden-stats corpus pins that
-attaching any of them never changes a statistic):
+Three layers, all observation-only (the golden-stats corpus pins that
+attaching any of them never changes a statistic), and one reader:
 
 * :mod:`repro.telemetry.interval` — columnar per-interval time-series
   (IPC, occupancies, capture/misprediction rates every N cycles),
@@ -12,13 +12,13 @@ attaching any of them never changes a statistic):
 * :mod:`repro.telemetry.manifest` — per-run and per-sweep provenance
   manifests written by the experiment harness (on by default), with
   each simulated job's phase seconds and CPU/RSS use;
-* :mod:`repro.telemetry.progress` — the live sweep progress protocol
-  (``progress.jsonl`` heartbeats) behind the ``repro-top`` CLI.
+* :mod:`repro.telemetry.progress` — the ``repro-top`` CLI, which
+  follows a running sweep through its run and sweep manifests.
 
 Attach with ``core.enable_telemetry()`` (see
 :class:`~repro.telemetry.sink.TelemetrySink`) or the ``repro-sim
---telemetry-out`` / ``--trace-out`` flags; sweeps capture telemetry via
-``ExperimentRunner(telemetry_dir=...)`` / ``repro-experiment
+--telemetry-out`` / ``--trace-out`` flags; sweeps capture interval
+time-series via ``ExperimentRunner(telemetry_dir=...)`` / ``repro-experiment
 --telemetry-dir``.  ``docs/telemetry.md`` documents the schemas and the
 measured overhead.
 """
@@ -44,20 +44,10 @@ from .manifest import (
     sweep_manifest,
     write_manifest,
 )
-from .progress import (
-    PROGRESS_FORMAT,
-    ProgressWriter,
-    SweepSnapshot,
-    read_progress,
-)
 from .sink import TelemetrySink
 
 __all__ = [
     "TelemetrySink",
-    "ProgressWriter",
-    "PROGRESS_FORMAT",
-    "SweepSnapshot",
-    "read_progress",
     "TraceEvent",
     "EventTrace",
     "EVENT_KINDS",

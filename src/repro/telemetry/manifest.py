@@ -9,7 +9,7 @@ the time go": the seconds of each job phase (``phase_seconds``, keyed
 by :data:`PHASE_ORDER`) and the job's ``getrusage`` CPU seconds and the
 process's peak RSS.  A *sweep manifest* ties one ``run_many`` invocation
 together: the run keys it covered, how many were simulated vs already
-cached, pool size and total wallclock.
+cached, pool size and total wallclock (``null`` while the sweep runs).
 
 Manifests are provenance, **not** results: they live in a
 ``manifests/`` subdirectory of the result cache, deliberately outside
@@ -179,8 +179,12 @@ def sweep_digest(run_keys: List[str]) -> str:
 
 
 def sweep_manifest(*, run_keys: List[str], simulated: int, cached: int,
-                   jobs: int, wallclock_seconds: float) -> Dict:
-    """Build the manifest for one ``run_many`` sweep."""
+                   jobs: int, wallclock_seconds: Optional[float]) -> Dict:
+    """Build the manifest for one ``run_many`` sweep.
+
+    ``run_many`` writes it when the sweep starts, with
+    *wallclock_seconds* ``None`` ("running"), and again when it ends.
+    """
     manifest = {
         "format": MANIFEST_FORMAT,
         "kind": "sweep",
@@ -190,7 +194,8 @@ def sweep_manifest(*, run_keys: List[str], simulated: int, cached: int,
         "simulated": simulated,
         "cached": cached,
         "jobs": jobs,
-        "wallclock_seconds": round(wallclock_seconds, 3),
+        "wallclock_seconds": (round(wallclock_seconds, 3)
+                              if wallclock_seconds is not None else None),
         "created_unix": round(time.time(), 3),
     }
     manifest.update(environment_fields())

@@ -23,7 +23,7 @@ every boundary row samples the machine at exactly its boundary cycle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..isa.instruction import format_instruction
 from .events import DEFAULT_CAPACITY, EventTrace
@@ -60,12 +60,6 @@ class TelemetrySink:
         self._acc: Dict[str, int] = {name: 0 for name in _ACC_COLUMNS}
         self._disasm: Dict[int, str] = {}
         self._finalized = False
-        # Optional observer called after each boundary sample with
-        # (cycle boundary, cumulative committed) — the experiment
-        # harness hangs its throttled progress heartbeat here so long
-        # simulations stay visibly alive in repro-top.  Observation
-        # only: nothing flows back into the sample.
-        self.on_sample: Optional[Callable[[int, int], None]] = None
 
     # -- event path (hot when attached) -------------------------------------------
 
@@ -127,8 +121,6 @@ class TelemetrySink:
         self._last_cycle = boundary
         for name in acc:
             acc[name] = 0
-        if self.on_sample is not None:
-            self.on_sample(boundary, current["committed"])
 
     def finalize(self, core) -> None:
         """Flush the trailing partial interval and record run context.

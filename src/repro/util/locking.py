@@ -18,8 +18,7 @@ never leave a stale lock behind.  The stores are POSIX-only.
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 sanctioned write path for those stores (tempfile in the destination
-directory + ``os.replace``, temp file unlinked on any failure), and
-:func:`append_line` the one for shared append-only logs.  The
+directory + ``os.replace``, temp file unlinked on any failure).  The
 ``atomic-write`` lint rule (:mod:`repro.analysis.rules`) flags any raw
 write (``write_text``/``write_bytes``, ``open`` in a write mode) and
 any hand-rolled ``tempfile``/``os.replace`` use outside ``repro/util``,
@@ -102,29 +101,3 @@ def atomic_write_text(path: Union[str, Path], text: str,
     """Text-mode convenience wrapper over :func:`atomic_write_bytes`."""
     atomic_write_bytes(path, text.encode(encoding))
 
-
-def append_line(path: Union[str, Path], line: str,
-                encoding: str = "utf-8") -> None:
-    """Append one newline-terminated record to a shared log file.
-
-    The sanctioned write path for *append-only* telemetry logs (the
-    sweep progress protocol): ``O_APPEND`` plus a single ``os.write``
-    of the whole record, so concurrent worker processes interleave
-    whole lines rather than bytes.  POSIX only guarantees that for
-    writes up to ``PIPE_BUF`` (>= 512 bytes, 4096 on Linux) — progress
-    records are far smaller, and a reader tolerates a torn tail line
-    anyway (:func:`repro.telemetry.progress.read_progress` skips
-    unparseable lines).  Unlike :func:`atomic_write_bytes`, an append
-    must never replace the file: other writers hold the same inode
-    open.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = line.encode(encoding)
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)

@@ -268,64 +268,6 @@ def test_non_cli_module_needs_no_guard(lint_one):
     assert not rules_hit(findings, "main-guard")
 
 
-# -- monotonic-tracing ------------------------------------------------------------
-
-def test_wallclock_flagged_in_tracing_modules(lint_one):
-    findings = lint_one("repro/telemetry/progress.py", """\
-        import time
-
-        def stamp(record):
-            record["t_start"] = time.time()
-    """)
-    assert rules_hit(findings, "monotonic-tracing")
-
-
-def test_datetime_import_flagged_in_tracing_modules(lint_one):
-    findings = lint_one("repro/telemetry/progress.py", """\
-        from datetime import datetime
-
-        def stamp():
-            return datetime.now().isoformat()
-    """)
-    assert rules_hit(findings, "monotonic-tracing")
-
-
-def test_aliased_wallclock_read_flagged(lint_one):
-    findings = lint_one("repro/telemetry/progress.py", """\
-        from time import time as now
-
-        def stamp():
-            return now()
-    """)
-    assert rules_hit(findings, "monotonic-tracing")
-
-
-def test_monotonic_clocks_allowed_in_tracing_modules(lint_one):
-    findings = lint_one("repro/telemetry/progress.py", """\
-        import time
-
-        def width(start):
-            time.sleep(0)
-            return time.perf_counter() - start
-
-        def age(then):
-            return time.monotonic() - then
-    """)
-    assert not rules_hit(findings, "monotonic-tracing")
-
-
-def test_monotonic_rule_scoped_to_tracing_modules(lint_one):
-    # Other telemetry modules (e.g. manifests) legitimately stamp
-    # wallclock; only progress.py is in scope.
-    findings = lint_one("repro/telemetry/manifest.py", """\
-        import time
-
-        def created():
-            return time.time()
-    """)
-    assert not rules_hit(findings, "monotonic-tracing")
-
-
 # -- select / framework behaviour -------------------------------------------------
 
 def test_select_restricts_rules(lint_one):

@@ -147,10 +147,15 @@ class TestCli:
         assert "Figure 8" in output
 
     def test_non_positive_instructions_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table3", "--instructions", "0", "--no-cache"])
-        assert excinfo.value.code == 2
-        assert "--instructions must be positive" in capsys.readouterr().err
+        for flag, value in (("--instructions", "0"), ("--jobs", "0"),
+                            ("--jobs", "-1"),
+                            ("--telemetry-interval", "0"),
+                            ("--telemetry-interval", "-10")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["table3", flag, value, "--no-cache"])
+            assert excinfo.value.code == 2
+            assert f"{flag} must be positive, got {value}" \
+                in capsys.readouterr().err
 
 
 class TestAblations:

@@ -4,23 +4,18 @@ The observatory must satisfy two contracts at once:
 
 * every simulated cell of a ``jobs=2`` sweep gets one run manifest
   carrying its phase seconds and resource use, which ``repro-report``
-  turns into its timing tables, plus a progress stream a tailing
-  ``repro-top`` can render;
+  turns into its timing tables and ``repro-top`` folds into a live
+  view, from the sweep's start to its end;
 * observation changes nothing — the result cache and ``SimStats`` of a
   sweep with a telemetry directory are byte-identical to one without,
-  and a runner without a telemetry directory writes no progress file.
+  and a runner without a telemetry directory writes none.
 """
 
 from repro.experiments import ExperimentRunner
 from repro.experiments.configs import BASE, IR_EARLY
 from repro.telemetry import load_manifests
 from repro.telemetry.manifest import PHASE_ORDER
-from repro.telemetry.progress import (
-    PROGRESS_FILE,
-    SweepSnapshot,
-    read_progress,
-    render_snapshot,
-)
+from repro.telemetry.progress import SweepSnapshot, render_snapshot
 from repro.workloads import get_workload
 
 INSTRUCTIONS = 1_000
@@ -79,18 +74,41 @@ class TestSpanTree:
 
 class TestProgressStream:
     def test_traced_sweep_streams_progress(self, tmp_path):
+        # One cell is cached by a manifest-less run, so the sweep
+        # backfills its cache-hit run manifest.
+        make_runner(tmp_path, jobs=1, manifests=False).run_many(PAIRS[:1])
         make_runner(tmp_path, jobs=2).run_many(PAIRS)
-        records = read_progress(tmp_path / "telemetry" / PROGRESS_FILE)
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == "sweep_start"
-        assert kinds[-1] == "sweep_done"
-        assert kinds.count("job_start") == len(PAIRS)
-        assert kinds.count("job_done") == len(PAIRS)
-        snap = SweepSnapshot.from_records(records)
+        snap = SweepSnapshot.from_manifests(tmp_path)
         assert snap.done == snap.total == len(PAIRS)
-        assert snap.finished is not None
+        assert snap.cached == 1 and snap.jobs == 2
+        assert snap.finished
+        workers = snap.workers.values()
+        assert sum(w["done"] for w in workers) == len(PAIRS) - 1
+        assert sum(w["checkpoint_hits"] + w["checkpoint_misses"]
+                   for w in workers) == len(PAIRS) - 1
         assert f"{len(PAIRS)}/{len(PAIRS)} cells" in \
             render_snapshot(snap)
+
+    def test_first_cell_sees_a_running_sweep(self, tmp_path,
+                                             monkeypatch):
+        seen = []
+        simulate = ExperimentRunner._simulate
+
+        def peek(runner, *args, **kwargs):
+            if not seen:
+                seen.append((load_manifests(tmp_path / "manifests"),
+                             SweepSnapshot.from_manifests(tmp_path)))
+            return simulate(runner, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "_simulate", peek)
+        make_runner(tmp_path, jobs=1, telemetry_dir=None).run_many(PAIRS)
+        manifests, snap = seen[0]
+        [sweep] = [m for m in manifests if m["kind"] == "sweep"]
+        assert sweep["wallclock_seconds"] is None
+        assert (snap.done, snap.total) == (0, len(PAIRS))
+        assert not snap.finished
+        assert f"0/{len(PAIRS)} cells" in render_snapshot(snap)
+        assert SweepSnapshot.from_manifests(tmp_path).finished
 
     def test_repro_top_once_exits_zero(self, tmp_path, capsys):
         from repro.telemetry.progress import main as top_main
@@ -128,4 +146,4 @@ class TestObservationOnly:
     def test_tracing_off_writes_nothing(self, tmp_path):
         runner = make_runner(tmp_path, jobs=2, telemetry_dir=None)
         runner.run_many(PAIRS)
-        assert not list(tmp_path.rglob(PROGRESS_FILE))
+        assert not (tmp_path / "telemetry").exists()

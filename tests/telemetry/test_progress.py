@@ -1,165 +1,154 @@
-"""Unit tests for the live-progress protocol (repro.telemetry.progress).
+"""Unit tests for ``repro-top`` (repro.telemetry.progress).
 
-Covers the writer (atomic line appends, counter bookkeeping, heartbeat
-throttling), the reader (torn/foreign line tolerance), the snapshot
-fold (per-worker state, ETA) and the ``repro-top`` entry point.
+Covers the fold of a result cache's run and sweep manifests into a
+snapshot (per-worker lines, the newest sweep, ETA), its rendering and
+the ``repro-top`` entry point.  The manifests are built with the same
+``run_manifest``/``sweep_manifest`` functions the runner uses.
 """
 
-import json
+import pytest
 
+from repro.experiments.configs import BASE
+from repro.telemetry.manifest import (
+    run_manifest,
+    sweep_manifest,
+    write_manifest,
+)
 from repro.telemetry.progress import (
-    PROGRESS_FILE,
-    PROGRESS_FORMAT,
-    ProgressWriter,
     SweepSnapshot,
     follow,
     main,
-    progress_path,
-    read_progress,
     render_snapshot,
 )
 
-KEY = "v4-compress-base-i1000-c60000-abcdef123456"
+KEYS = [f"v5-compress-base-{n}" for n in range(4)]
 
 
-def make_writer(tmp_path, **kwargs):
-    return ProgressWriter(tmp_path / PROGRESS_FILE, **kwargs)
+def write_sweep(results, keys, *, simulated, jobs=2, wallclock=None,
+                created=None):
+    manifest = sweep_manifest(run_keys=keys, simulated=simulated,
+                              cached=len(keys) - simulated, jobs=jobs,
+                              wallclock_seconds=wallclock)
+    if created is not None:
+        manifest["created_unix"] = created
+    write_manifest(results / "manifests"
+                   / f"sweep-{manifest['sweep_digest']}.json", manifest)
+    return manifest
 
 
-class TestWriter:
-    def test_records_are_single_canonical_lines(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.sweep_start(total=3, cached=1, pending=2, jobs=2)
-        writer.sweep_done(total=3, simulated=2, wall_s=1.23456)
-        lines = writer.path.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["format"] == PROGRESS_FORMAT
-            assert record["pid"] == writer.pid
-            assert isinstance(record["t_mono"], float)
-        assert json.loads(lines[1])["wall_s"] == 1.235
-
-    def test_job_lifecycle_counters(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.job_start(KEY, workload="compress", config="base")
-        assert writer.current == KEY and writer.cache_misses == 1
-        writer.checkpoint("captured")
-        writer.job_done(KEY, elapsed_s=0.5, committed=1000)
-        writer.cache_hit(KEY + "2")
-        writer.checkpoint("memo")
-        writer.checkpoint("disk")
-        writer.checkpoint("disabled")  # not a checkpoint event
-        assert writer.current is None
-        assert writer.done == 2  # one simulated + one cache hit
-        assert writer.cache_hits == 1
-        assert writer.checkpoint_hits == 2
-        assert writer.checkpoint_misses == 1
-        kinds = [r["kind"] for r in read_progress(writer.path)]
-        assert kinds == ["job_start", "heartbeat", "job_done",
-                         "heartbeat", "heartbeat"]
-
-    def test_in_simulation_heartbeats_throttled(self, tmp_path):
-        writer = make_writer(tmp_path, heartbeat_min_seconds=3600)
-        writer.heartbeat(current=KEY, cycles=100, committed=10)
-        for cycle in range(200, 1000, 100):  # all inside the window
-            writer.heartbeat(current=KEY, cycles=cycle)
-        beats = [r for r in read_progress(writer.path)
-                 if r["kind"] == "heartbeat"]
-        assert len(beats) == 1
-        assert beats[0]["cycles"] == 100 and beats[0]["committed"] == 10
-
-    def test_boundary_heartbeats_bypass_throttle(self, tmp_path):
-        writer = make_writer(tmp_path, heartbeat_min_seconds=3600)
-        writer.cache_hit("a")
-        writer.cache_hit("b")
-        beats = [r for r in read_progress(writer.path)
-                 if r["kind"] == "heartbeat"]
-        assert [b["done"] for b in beats] == [1, 2]
+def write_run(results, key, *, pid, created, cache_hit=False,
+              checkpoint="captured"):
+    """A cell's run manifest, stamped as if *pid* wrote it at
+    *created*, plus its result file."""
+    manifest = run_manifest(
+        cache_key=key, workload="compress", config=BASE,
+        program_digest="0" * 16, source_sha12="0" * 12,
+        max_instructions=1000, max_cycles=60000, cache_hit=cache_hit,
+        checkpoint=checkpoint,
+        wallclock_seconds=None if cache_hit else 0.2)
+    manifest.update(pid=pid, created_unix=created)
+    write_manifest(results / "manifests" / f"{key}.json", manifest)
+    (results / f"{key}.json").write_text("{}")
 
 
-class TestReader:
-    def test_tolerates_torn_tail_and_foreign_lines(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.sweep_start(total=1, cached=0, pending=1, jobs=1)
-        with open(writer.path, "a") as handle:
-            handle.write("not json\n")
-            handle.write('{"format": "other-protocol"}\n')
-            handle.write('{"format": "repro-progress-v1", "kind": "hea')
-        records = read_progress(writer.path)
-        assert [r["kind"] for r in records] == ["sweep_start"]
-
-    def test_missing_file_reads_empty(self, tmp_path):
-        assert read_progress(tmp_path / "absent.jsonl") == []
+def running_sweep(results, started=1000.0):
+    """Four cells: one pre-cached (its run manifest backfilled just
+    before the sweep manifest), two simulated by two workers."""
+    write_run(results, KEYS[0], pid=1, created=started - 2,
+              cache_hit=True, checkpoint="cached")
+    write_sweep(results, KEYS, simulated=3, created=started)
+    write_run(results, KEYS[1], pid=11, created=started + 2)
+    write_run(results, KEYS[2], pid=12, created=started + 4,
+              checkpoint="disk")
 
 
 class TestSnapshot:
-    def _traced_sweep(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.sweep_start(total=4, cached=1, pending=3, jobs=2)
-        writer.cache_hit("k0")
-        writer.job_start("k1", workload="compress", config="base")
-        writer.job_done("k1", elapsed_s=0.2, committed=1000)
-        return writer
-
     def test_folds_per_worker_counters(self, tmp_path):
-        writer = self._traced_sweep(tmp_path)
-        snap = SweepSnapshot.from_records(read_progress(writer.path))
+        running_sweep(tmp_path)
+        snap = SweepSnapshot.from_manifests(tmp_path)
         assert snap.total == 4 and snap.cached == 1 and snap.jobs == 2
-        assert snap.done == 2
-        worker = snap.workers[writer.pid]
-        assert worker["cache_hits"] == 1
-        assert worker["current"] is None  # job_done clears it
-        assert snap.finished is None
-        assert snap.eta() is not None and snap.eta() >= 0
+        assert snap.done == 3
+        assert not snap.finished
+        assert set(snap.workers) == {11, 12}
+        assert snap.workers[11] == {"done": 1, "checkpoint_hits": 0,
+                                    "checkpoint_misses": 1,
+                                    "last_unix": 1002.0}
+        assert snap.workers[12]["checkpoint_hits"] == 1
+        assert snap.elapsed(now=1010.0) == 10.0
+        # Two simulated cells in 10 s, one to go.
+        assert snap.eta(now=1010.0) == 5.0
+
+    def test_cache_hits_and_older_runs_are_not_worker_cells(self,
+                                                            tmp_path):
+        running_sweep(tmp_path)
+        # A backfilled cache hit stamped inside the sweep's window, and
+        # an earlier sweep's record of a cell this sweep re-simulates.
+        write_run(tmp_path, KEYS[0], pid=13, created=1005.0,
+                  cache_hit=True, checkpoint="cached")
+        write_run(tmp_path, KEYS[3], pid=14, created=900.0)
+        snap = SweepSnapshot.from_manifests(tmp_path)
+        assert set(snap.workers) == {11, 12}
+        assert sum(w["done"] for w in snap.workers.values()) == 2
 
     def test_only_the_last_sweep_counts(self, tmp_path):
-        writer = self._traced_sweep(tmp_path)
-        writer.sweep_done(total=4, simulated=3, wall_s=1.0)
-        writer.sweep_start(total=2, cached=2, pending=0, jobs=1)
-        snap = SweepSnapshot.from_records(read_progress(writer.path))
+        running_sweep(tmp_path)
+        write_sweep(tmp_path, KEYS[:2], simulated=2, created=999.0,
+                    wallclock=5.0)
+        write_sweep(tmp_path, ["v5-go-base-0", "v5-go-base-1"],
+                    simulated=2, created=2000.0)
+        snap = SweepSnapshot.from_manifests(tmp_path)
         assert snap.total == 2 and snap.done == 0
-        assert snap.finished is None and snap.eta() is None
+        assert snap.workers == {}
+        assert not snap.finished and snap.eta(now=2010.0) is None
 
     def test_finished_sweep_has_no_eta(self, tmp_path):
-        writer = self._traced_sweep(tmp_path)
-        writer.sweep_done(total=4, simulated=3, wall_s=1.0)
-        snap = SweepSnapshot.from_records(read_progress(writer.path))
-        assert snap.finished is not None
-        assert snap.eta() is None
+        running_sweep(tmp_path)
+        write_sweep(tmp_path, KEYS, simulated=3, created=1020.0,
+                    wallclock=25.0)
+        snap = SweepSnapshot.from_manifests(tmp_path)
+        assert snap.finished
+        assert snap.elapsed(now=5000.0) == 25.0
+        assert snap.eta(now=5000.0) is None
+        # The window reaches back past the backfilled cache hit to the
+        # sweep's start, and still holds only the simulated cells.
+        assert snap.started_unix == 995.0
+        assert set(snap.workers) == {11, 12}
 
     def test_render_lists_workers(self, tmp_path):
-        writer = self._traced_sweep(tmp_path)
-        text = render_snapshot(
-            SweepSnapshot.from_records(read_progress(writer.path)))
-        assert "2/4 cells" in text
-        assert "(1 pre-cached)" in text
-        assert str(writer.pid) in text
+        running_sweep(tmp_path)
+        text = render_snapshot(SweepSnapshot.from_manifests(tmp_path),
+                               now=1010.0)
+        header, columns, *workers = text.splitlines()
+        assert header == ("sweep: 3/4 cells  (1 pre-cached)  jobs=2  "
+                          "elapsed 10.0s  eta ~5s")
+        assert columns.split() == ["worker", "done", "ckpt", "h/m", "age"]
+        assert [line.split() for line in workers] == [
+            ["11", "1", "0/1", "8.0s"], ["12", "1", "1/0", "6.0s"]]
 
-    def test_render_empty(self):
-        assert "no sweep progress" in render_snapshot(SweepSnapshot())
+    def test_render_empty(self, tmp_path):
+        assert render_snapshot(SweepSnapshot()) \
+            == "no sweep manifest recorded yet"
+        assert render_snapshot(SweepSnapshot.from_manifests(tmp_path)) \
+            == "no sweep manifest recorded yet"
 
 
 class TestCli:
-    def test_progress_path_resolves_directories(self, tmp_path):
-        nested = tmp_path / "telemetry" / PROGRESS_FILE
-        nested.parent.mkdir()
-        nested.write_text("")
-        assert progress_path(tmp_path) == nested  # result-cache dir
-        assert progress_path(nested.parent) == nested
-        assert progress_path(nested) == nested
-
     def test_main_once_renders_snapshot(self, tmp_path, capsys):
-        writer = make_writer(tmp_path)
-        writer.sweep_start(total=1, cached=0, pending=1, jobs=1)
+        write_sweep(tmp_path, KEYS[:1], simulated=1)
         assert main([str(tmp_path), "--once"]) == 0
-        assert "0/1 cells" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0/1 cells" in out and "[running]" in out
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_non_positive_interval_rejected(self, tmp_path, interval,
+                                            capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path), "--interval", interval])
+        assert excinfo.value.code == 2
+        assert "--interval must be positive" in capsys.readouterr().err
 
     def test_follow_exits_when_sweep_done(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.sweep_start(total=1, cached=1, pending=0, jobs=1)
-        writer.sweep_done(total=1, simulated=0, wall_s=0.1)
+        write_sweep(tmp_path, KEYS[:1], simulated=1, wallclock=0.1)
         shown = []
-        assert follow(writer.path, interval=0.01, clear=False,
-                      out=shown.append) == 0
-        assert shown and "[done in 0.1s]" in shown[-1]
+        assert follow(tmp_path, interval=0.01, out=shown.append) == 0
+        assert shown == ["sweep: 0/1 cells  jobs=2  elapsed 0.1s  [done]"]

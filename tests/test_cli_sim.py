@@ -69,12 +69,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "m88ksim" in out
 
-    @pytest.mark.parametrize("flag", ["--instructions", "--max-cycles"])
+    @pytest.mark.parametrize("flag", ["--instructions", "--max-cycles",
+                                      "--telemetry-interval",
+                                      "--trace-buffer"])
     def test_non_positive_budget_rejected(self, source_file, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([str(source_file), flag, "0"])
         assert excinfo.value.code == 2
         assert f"{flag} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--skip", "-5", "non-negative"),
+        ("--telemetry-interval", "-10", "positive"),
+        ("--trace-buffer", "-1", "positive")])
+    def test_negative_values_rejected(self, source_file, flag, value,
+                                      message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(source_file), flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be {message}, got {value}" \
+            in capsys.readouterr().err
 
     def test_missing_input_rejected(self):
         with pytest.raises(SystemExit):
