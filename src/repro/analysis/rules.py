@@ -1,10 +1,10 @@
 """The rule catalogue: every determinism/invariant contract as a rule.
 
-Each rule encodes one convention earlier PRs established by review
+Each rule encodes one convention earlier changes established by review
 (docs/static-analysis.md is the prose catalogue).  Rules are AST-based
-and deliberately *syntactic*: they flag the pattern, and a human either
-fixes the code or records an explicit ``# repro-lint: waive[rule]``
-with a justification.  False-negative-free soundness is not the goal —
+and deliberately *syntactic*: they flag the pattern, and the code is
+fixed — ``src/`` carries no exemptions, so a rule that misfires there
+is narrowed instead.  False-negative-free soundness is not the goal —
 making silent convention drift loud is.
 """
 
@@ -75,8 +75,6 @@ class NoWallclockRule(Rule):
     """
 
     id = "no-wallclock"
-    description = ("model packages (uarch/functional/isa/vp/reuse/"
-                   "redundancy) must not import time or datetime")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.in_package(*DETERMINISM_PACKAGES):
@@ -111,9 +109,6 @@ class SortedSerializationRule(Rule):
     """
 
     id = "sorted-serialization"
-    description = ("json.dump(s) must pass sort_keys=True, and "
-                   "serialization must not consume unordered iteration "
-                   "without sorted(...)")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         imports = _import_map(module.tree)
@@ -179,8 +174,6 @@ class NoBuiltinHashRule(Rule):
     cache key, file name or any persisted value from it; use hashlib."""
 
     id = "no-builtin-hash"
-    description = ("builtin hash() is salted per process; cache keys "
-                   "and persisted values must use hashlib")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         imports = _import_map(module.tree)
@@ -215,8 +208,6 @@ class AtomicWriteRule(Rule):
     """
 
     id = "atomic-write"
-    description = ("raw writes and tempfile/os.replace outside "
-                   "repro.util: use util.locking.atomic_write_text/bytes")
 
     _BANNED = ("os.replace", "os.rename", "tempfile.mkstemp",
                "tempfile.NamedTemporaryFile", "tempfile.mktemp")
@@ -299,8 +290,6 @@ class TelemetryPurityRule(Rule):
     """
 
     id = "telemetry-purity"
-    description = ("telemetry modules must not assign onto objects "
-                   "received as parameters (observation-only contract)")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.in_package("telemetry"):
@@ -360,8 +349,6 @@ class MainGuardRule(Rule):
     """
 
     id = "main-guard"
-    description = ("modules defining main()/building an ArgumentParser "
-                   "need an if __name__ == '__main__' guard")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         imports = _import_map(module.tree)
@@ -382,7 +369,7 @@ class MainGuardRule(Rule):
         yield Finding(
             module.relpath, 0, self.id,
             "CLI module (defines main()/builds an ArgumentParser) has "
-            "no `if __name__ == \"__main__\":` guard", self.severity)
+            "no `if __name__ == \"__main__\":` guard")
 
 
 def _is_main_guard(test: ast.expr) -> bool:

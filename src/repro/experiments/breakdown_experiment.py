@@ -15,18 +15,16 @@ from typing import Iterable, List
 
 from ..metrics.breakdown import CLASSES, ClassBreakdown
 from ..metrics.report import Report
-from ..uarch.core import OutOfOrderCore
 from ..workloads import all_workloads, get_workload
 from .configs import IR_EARLY, vp_magic
 from .runner import ExperimentRunner
 
 
 def _measure(runner: ExperimentRunner, workload: str, config):
-    """A breakdown needs the commit hook, so it bypasses the JSON cache."""
-    spec = get_workload(workload)
-    core = OutOfOrderCore(config, spec.program())
+    """A breakdown needs the commit hook, so it bypasses the JSON cache
+    (the warm state and ``verify`` still come from the runner)."""
+    core = runner.warm_core(get_workload(workload), config)
     breakdown = ClassBreakdown(core)
-    core.skip(spec.skip_instructions)
     core.run(max_instructions=runner.max_instructions,
              max_cycles=runner.max_cycles)
     return breakdown

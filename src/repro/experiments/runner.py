@@ -50,7 +50,7 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..functional.checkpoint import CheckpointStore
 from ..functional.simulator import FunctionalSimulator
@@ -61,6 +61,9 @@ from ..telemetry.manifest import config_digest
 from ..uarch.config import MachineConfig
 from ..workloads import WorkloadSpec, all_workloads, get_workload
 from ..util.locking import FileLock, atomic_write_text
+
+if TYPE_CHECKING:
+    from ..uarch.core import OutOfOrderCore
 
 try:  # POSIX; without it run manifests carry no CPU/RSS fields.
     import resource
@@ -209,8 +212,9 @@ class ExperimentRunner:
         manifest get a ``cache_hit`` one first; then, if anything is
         left to simulate, the sweep manifest is written before the
         first simulation (``wallclock_seconds`` null: running) and again
-        at the end.  A sweep with nothing to simulate writes none, so
-        it never overwrites the record of the sweep that did the work.
+        when the sweep ends, normally or by an exception.  A sweep with
+        nothing to simulate writes none, so it never overwrites the
+        record of the sweep that did the work.
         """
         pairs = list(pairs)
         jobs = self._effective_jobs(jobs)
@@ -252,14 +256,18 @@ class ExperimentRunner:
         total = len(pending)
         workers = min(jobs, total)
         self._write_sweep_manifest(unique, total, workers, None)
-
-        if workers <= 1:
-            for _, workload, config in pending:
-                results[(workload, config.name)] = self.run(workload, config)
-        else:
-            self._fan_out(pending, workers, results)
-        self._write_sweep_manifest(unique, total, workers,
-                                   time.perf_counter() - sweep_started)
+        try:
+            if workers <= 1:
+                for _, workload, config in pending:
+                    results[(workload, config.name)] = self.run(workload,
+                                                                config)
+            else:
+                self._fan_out(pending, workers, results)
+        finally:
+            # An interrupted sweep is over too: without the closing
+            # write, repro-top would show it running forever.
+            self._write_sweep_manifest(unique, total, workers,
+                                       time.perf_counter() - sweep_started)
         return results
 
     def _fan_out(self, pending: List[Tuple[str, str, MachineConfig]],
@@ -354,24 +362,46 @@ class ExperimentRunner:
         """Warm the cache for *pairs*; later :meth:`run` calls are hits."""
         self.run_many(pairs, jobs=jobs)
 
+    def warm_core(self, spec: WorkloadSpec, config: MachineConfig,
+                  phases: Optional[Dict[str, float]] = None
+                  ) -> OutOfOrderCore:
+        """A core for one cell of *spec* under *config*, at the end of
+        the warm-up skip, ready to run.
+
+        ``verify`` turns on ``verify_commits``; the warm state comes
+        from the checkpoint store when the runner has one, else from a
+        cold skip (the statistics are identical either way).  Times the
+        ``decode`` and ``warm-restore`` phases into *phases*.
+        """
+        from ..uarch.core import OutOfOrderCore
+        if self.verify:
+            config = dataclasses.replace(config, verify_commits=True)
+        started = time.perf_counter()
+        program = self._program(spec)
+        decoded = time.perf_counter()
+        core = OutOfOrderCore(config, program)
+        restoring = time.perf_counter()
+        if self.checkpoints is not None:
+            core.restore_warm(
+                self.checkpoints.get(program, spec.skip_instructions))
+        else:
+            core.skip(spec.skip_instructions)
+        if phases is not None:
+            phases["decode"] = decoded - started
+            phases["warm-restore"] = time.perf_counter() - restoring
+        return core
+
     def _simulate(self, spec: WorkloadSpec, workload: str,
                   config: MachineConfig, key: str,
                   phases: Dict[str, float]) -> SimStats:
         """Run one timing simulation, timing its ``decode``,
         ``warm-restore`` and ``simulate`` phases into *phases*."""
-        from ..uarch.core import OutOfOrderCore
         if not self.quiet:
             print(f"[run] {workload} / {config.name} "
                   f"({self.max_instructions} insts)", flush=True)
-        if self.verify:
-            config = dataclasses.replace(config, verify_commits=True)
-
-        started = time.perf_counter()
-        program = self._program(spec)
-        phases["decode"] = time.perf_counter() - started
-        core = OutOfOrderCore(config, program)
-        # Set the workload name up front so the telemetry context block
-        # sees it; the statistics are identical either way.
+        core = self.warm_core(spec, config, phases)
+        # Set the workload name before the run so the telemetry context
+        # block sees it; the statistics are identical either way.
         core.stats.workload_name = workload
         sink = None
         if self.telemetry_dir is not None:
@@ -379,13 +409,6 @@ class ExperimentRunner:
             # interactive runs (repro-sim --trace-out), not bulk sweeps.
             sink = core.enable_telemetry(
                 interval=self.telemetry_interval, events=False)
-        started = time.perf_counter()
-        if self.checkpoints is not None:
-            core.restore_warm(
-                self.checkpoints.get(program, spec.skip_instructions))
-        else:
-            core.skip(spec.skip_instructions)
-        phases["warm-restore"] = time.perf_counter() - started
         started = time.perf_counter()
         stats = core.run(max_cycles=self.max_cycles,
                          max_instructions=self.max_instructions)

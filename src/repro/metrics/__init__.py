@@ -1,8 +1,5 @@
 """Simulation statistics and reporting helpers."""
 
-from .charts import bar_chart, report_to_chart
-from .report import Report
 from .stats import SimStats, harmonic_mean, speedup
 
-__all__ = ["SimStats", "harmonic_mean", "speedup", "Report",
-           "bar_chart", "report_to_chart"]
+__all__ = ["SimStats", "harmonic_mean", "speedup"]

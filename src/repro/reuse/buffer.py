@@ -9,12 +9,14 @@ alongside the result:
   value actually differs from the stored one, and an entry whose operand
   values become current again is valid again; storing values and comparing
   at test time implements both augmentations exactly),
-* dependence pointers to the RB entries that produced its operands
-  (the "d" in S_{n+d}), which let a dependent chain be reused in a single
-  cycle even though the interior values are not yet available from the
-  register file,
 * for memory operations, the effective address and a memory-valid bit
   that conflicting stores clear.
+
+The dependence pointers of S_{n+d} (the "d"), which let a dependent
+chain be reused in a single cycle even though the interior values are
+not yet available from the register file, need no stored field: the
+reuse test follows the in-flight producer edge and reads the producer's
+same-cycle ``reuse_value`` (:meth:`ReuseEngine._value_available`).
 
 Load entries whose data was forwarded from a not-yet-committed store are
 inserted with ``result_valid=False`` (address-only): their stored data is
@@ -25,7 +27,7 @@ for exactly this reason).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..uarch.config import IRConfig
@@ -49,7 +51,6 @@ class RBEntry:
     mem_bytes: int = 0
     mem_valid: bool = True  # cleared when a store hits `address`
     result_valid: bool = True  # False for address-only load entries
-    source_entries: Tuple[Optional["RBEntry"], ...] = ()  # dependence ptrs
     from_squashed: bool = False  # producer was squashed (wrong-path work)
     recovery_counted: bool = False
 

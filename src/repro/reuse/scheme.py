@@ -22,8 +22,7 @@ to the value comparisons performed here.
 
 The engine reads in-flight state straight off the core's
 :class:`~repro.uarch.entry.InflightOp` entries: the test walks the
-entry's producer edges, and :meth:`ReuseEngine.insert` records an
-entry's dependence pointers from its producers' ``rb_entry``.
+entry's producer edges, which are the dependence pointers.
 """
 
 from __future__ import annotations
@@ -266,10 +265,6 @@ class ReuseEngine:
         else:
             entry.result = outcome.result
             entry.result_hi = outcome.result_hi
-        producers = op.producers
-        if producers:  # dependence pointers (the "d" of S_{n+d})
-            entry.source_entries = tuple(
-                producers[reg].rb_entry for reg in sorted(producers))
         op.rb_entry = self.buffer.insert(entry)
 
     def note_squashed(self, op: InflightOp) -> None:

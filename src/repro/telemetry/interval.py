@@ -103,8 +103,8 @@ class IntervalSeries:
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header(), sort_keys=True)]
-        # repro-lint: waive[sorted-serialization] -- row is a list in declared column order, not a dict
-        lines.extend(json.dumps(row) for row in self.rows())
+        # A row is a list in declared column order: sort_keys is a no-op.
+        lines.extend(json.dumps(row, sort_keys=True) for row in self.rows())
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:

@@ -111,7 +111,8 @@ def render_snapshot(snap: SweepSnapshot,
         parts.append(f"elapsed {elapsed:.1f}s")
     eta = snap.eta(now)
     if snap.finished:
-        parts.append("[done]")
+        # A sweep ended by an exception or Ctrl-C left cells undone.
+        parts.append("[done]" if snap.done >= snap.total else "[stopped]")
     elif eta is not None:
         parts.append(f"eta ~{eta:.0f}s")
     else:

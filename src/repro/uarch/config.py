@@ -1,8 +1,10 @@
 """Machine configuration for the out-of-order timing simulator.
 
 Defaults reproduce Table 1 of the paper plus the VP/IR structure sizes from
-Section 4.1.3 (16K-entry VPT, 4K-entry RB, both 4-way set associative, four
-reads/writes per cycle).  The named constructors at the bottom build every
+Section 4.1.3 (16K-entry VPT, 4K-entry RB, both 4-way set associative).
+VPT and RB ports (the paper's four reads/writes per cycle) are not
+modelled: lookups are bounded only by the decode width, and updates and
+insertions not at all.  The named constructors at the bottom build every
 configuration the evaluation section simulates (base, IR early/late, the
 four VP configurations x two predictors x two verification latencies).
 """
@@ -97,9 +99,7 @@ class VPConfig:
     verify_latency: int = 0  # 0 or 1 cycle (Sec 4.1.4)
     branch_policy: BranchPolicy = BranchPolicy.SPECULATIVE
     reexec_policy: ReexecPolicy = ReexecPolicy.MULTIPLE
-    predict_results: bool = True
     predict_addresses: bool = True
-    ports: int = 4  # reads/writes per cycle = predictions per cycle
     # Order of the finite-context-method predictor (PredictorKind.FCM
     # and the FCM component of HYBRID_SELECT): how many recent values
     # form the context hash.  Two is the classic Sazeides & Smith
@@ -124,8 +124,6 @@ class IRConfig:
     # though the operand value is not yet readable.  Disabling it yields
     # the weaker S_n-style scheme of the original reuse paper.
     dependence_chaining: bool = True
-    reuse_addresses: bool = True
-    ports: int = 4  # reuses per cycle
     # Under LATE validation, may the reuse test chain through hit values
     # that have not been validated yet?  False (default) keeps the test
     # strictly non-speculative: deferring validation then also collapses

@@ -442,8 +442,8 @@ class OutOfOrderCore:
     def _apply_value_prediction(self, op: InflightOp) -> None:
         meta, outcome = op.meta, op.outcome
         cycle = self.cycle
-        if self.config.vp.predict_results and meta.has_dest \
-                and outcome.result is not None and not meta.is_store:
+        if meta.has_dest and outcome.result is not None \
+                and not meta.is_store:
             predicted = self.vp.predict_result(meta.pc, outcome.result,
                                                key=meta.vp_result_key)
             if predicted is not None:
@@ -1370,9 +1370,9 @@ class OutOfOrderCore:
         outcome = op.outcome
         stats = self.stats
         predicted = op.predicted
-        if self.config.vp.predict_results and meta.has_dest \
-                and outcome.result is not None and not meta.is_store \
-                and meta.executes and not meta.is_control:
+        if meta.has_dest and outcome.result is not None \
+                and not meta.is_store and meta.executes \
+                and not meta.is_control:
             stats.vp_result_lookups += 1
             if predicted:
                 stats.vp_result_predicted += 1

@@ -19,10 +19,11 @@ never leave a stale lock behind.  The stores are POSIX-only.
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 sanctioned write path for those stores (tempfile in the destination
 directory + ``os.replace``, temp file unlinked on any failure).  The
-``atomic-write`` lint rule (:mod:`repro.analysis.rules`) flags any raw
-write (``write_text``/``write_bytes``, ``open`` in a write mode) and
-any hand-rolled ``tempfile``/``os.replace`` use outside ``repro/util``,
-so the discipline cannot silently fork.
+``atomic-write`` lint rule (:mod:`repro.analysis.rules`, run over
+``src/repro`` by the tier-1 ``tests/analysis/test_self_gate.py``)
+flags any raw write (``write_text``/``write_bytes``, ``open`` in a
+write mode) and any hand-rolled ``tempfile``/``os.replace`` use
+outside ``repro/util``, so the discipline cannot silently fork.
 """
 
 from __future__ import annotations

@@ -1,42 +1,26 @@
-"""Shared fixtures for the repro-lint test suite.
+"""Shared fixtures for the lint-rule test suite.
 
-``lint_tree`` materializes fixture source files under a synthetic
+``lint_one`` materializes a fixture source file under a synthetic
 ``repro/<package>/`` tree (so package-scoped rules see the paths they
-key on) and runs the analyzer over it.
+key on) and runs the rules over it.
 """
 
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, default_rules
+from repro.analysis import default_rules, lint
 
 
 @pytest.fixture
-def lint_tree(tmp_path):
-    def run(files, select=None, rules=None):
-        for relpath, source in files.items():
-            target = tmp_path / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(textwrap.dedent(source))
-        analyzer = Analyzer(rules if rules is not None else default_rules())
-        return analyzer.run([tmp_path], select=select)
-    return run
-
-
-@pytest.fixture
-def lint_one(lint_tree):
-    """Lint one fixture module; returns the unwaived findings."""
+def lint_one(tmp_path):
+    """Lint one fixture module; returns its findings.  *select* keeps
+    only the named rules."""
     def run(relpath, source, select=None):
-        return lint_tree({relpath: source}, select=select).unwaived
+        target = tmp_path / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source))
+        rules = [rule for rule in default_rules()
+                 if select is None or rule.id in select]
+        return lint(tmp_path, rules)
     return run
-
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-@pytest.fixture
-def repo_src():
-    assert (REPO_SRC / "repro" / "isa" / "opcodes.py").is_file()
-    return REPO_SRC

@@ -280,6 +280,8 @@ def test_select_restricts_rules(lint_one):
     assert {f.rule for f in findings} == {"no-builtin-hash"}
 
 
-def test_syntax_error_is_a_finding(lint_one):
-    findings = lint_one("repro/uarch/mod.py", "def broken(:\n")
-    assert [f.rule for f in findings] == ["syntax-error"]
+def test_syntax_error_raises(lint_one):
+    with pytest.raises(SyntaxError) as excinfo:
+        lint_one("repro/uarch/mod.py", "def broken(:\n")
+    assert excinfo.value.filename.endswith("repro/uarch/mod.py")
+    assert excinfo.value.lineno == 1

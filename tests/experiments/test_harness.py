@@ -252,6 +252,26 @@ class TestAblations:
         assert len(report.rows) == 1
         assert "branch IR/VP" in report.headers
 
+    def test_breakdown_uses_the_runner_settings(self, tmp_path,
+                                                monkeypatch):
+        from repro.experiments import breakdown_experiment
+        from repro.uarch.core import OutOfOrderCore
+        verified = []
+        init = OutOfOrderCore.__init__
+
+        def recording_init(core, config, program):
+            verified.append(config.verify_commits)
+            init(core, config, program)
+
+        monkeypatch.setattr(OutOfOrderCore, "__init__", recording_init)
+        runner = ExperimentRunner(max_instructions=2_000,
+                                  max_cycles=80_000, cache_dir=tmp_path,
+                                  quiet=True, verify=True)
+        breakdown_experiment.run(runner, workloads=["m88ksim"])
+        assert verified == [True, True]
+        # Both cores start from the one warm state in the store.
+        assert len(runner.checkpoints) == 1
+
     def test_breakdown_in_cli(self):
         from repro.experiments.cli import EXPERIMENTS
         assert "breakdown" in EXPERIMENTS

@@ -11,6 +11,8 @@ The observatory must satisfy two contracts at once:
   and a runner without a telemetry directory writes none.
 """
 
+import pytest
+
 from repro.experiments import ExperimentRunner
 from repro.experiments.configs import BASE, IR_EARLY
 from repro.telemetry import load_manifests
@@ -109,6 +111,30 @@ class TestProgressStream:
         assert not snap.finished
         assert f"0/{len(PAIRS)} cells" in render_snapshot(snap)
         assert SweepSnapshot.from_manifests(tmp_path).finished
+
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, RuntimeError])
+    def test_interrupted_sweep_is_stopped(self, tmp_path, monkeypatch,
+                                          fault):
+        calls = []
+        simulate = ExperimentRunner._simulate
+
+        def second_cell_fails(runner, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise fault("injected")
+            return simulate(runner, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "_simulate",
+                            second_cell_fails)
+        with pytest.raises(fault):
+            make_runner(tmp_path, jobs=1,
+                        telemetry_dir=None).run_many(PAIRS)
+        [sweep] = [m for m in load_manifests(tmp_path / "manifests")
+                   if m["kind"] == "sweep"]
+        assert sweep["wallclock_seconds"] is not None
+        text = render_snapshot(SweepSnapshot.from_manifests(tmp_path))
+        assert f"1/{len(PAIRS)} cells" in text
+        assert "[stopped]" in text
 
     def test_repro_top_once_exits_zero(self, tmp_path, capsys):
         from repro.telemetry.progress import main as top_main

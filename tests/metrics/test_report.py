@@ -1,6 +1,11 @@
 """Unit tests for the plain-text report renderer and the
 ``repro-report`` manifest/telemetry dashboard."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.metrics.report import (
     Report,
     main,
@@ -148,3 +153,17 @@ class TestReportCli:
     def test_exit_1_when_nothing_found(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 1
         assert "no manifests" in capsys.readouterr().out
+
+    def test_runs_as_a_module_without_warnings(self, tmp_path):
+        # `python -m repro.metrics.report` is how CI runs it: importing
+        # the package must not import the module runpy is about to run.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2]
+                                / "src") + os.pathsep \
+            + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.metrics.report", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "no manifests or telemetry found" in proc.stdout

@@ -149,6 +149,7 @@ class TestCli:
 
     def test_follow_exits_when_sweep_done(self, tmp_path):
         write_sweep(tmp_path, KEYS[:1], simulated=1, wallclock=0.1)
+        (tmp_path / f"{KEYS[0]}.json").write_text("{}")
         shown = []
         assert follow(tmp_path, interval=0.01, out=shown.append) == 0
-        assert shown == ["sweep: 0/1 cells  jobs=2  elapsed 0.1s  [done]"]
+        assert shown == ["sweep: 1/1 cells  jobs=2  elapsed 0.1s  [done]"]
