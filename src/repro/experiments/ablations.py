@@ -281,8 +281,11 @@ def pairs(workloads: Iterable[str] = _DEFAULT_WORKLOADS) -> List[Pair]:
         no_chain_config, name="reuse-n",
         ir=dataclasses.replace(no_chain_config.ir,
                                dependence_chaining=False))
+    # The VP-only cells predictors() and upper_bound() read.
+    kinds = (PredictorKind.MAGIC, PredictorKind.LAST_VALUE,
+             PredictorKind.STRIDE, PredictorKind.PERFECT)
     configs = ([BASE, ir_config(), hybrid_config(), no_chain_config]
-               + [vp_config(kind) for kind in PredictorKind]
+               + [vp_config(kind) for kind in kinds]
                + _storage_configs((1, 4, 16))
                + _instance_configs((1, 2, 4))
                + _confidence_configs((1, 2, 3)))

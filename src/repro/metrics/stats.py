@@ -111,12 +111,6 @@ class SimStats:
         return self.vp_addr_correct / self.memory_ops if self.memory_ops else 0.0
 
     @property
-    def vp_addr_misp_rate(self) -> float:
-        if not self.memory_ops:
-            return 0.0
-        return (self.vp_addr_predicted - self.vp_addr_correct) / self.memory_ops
-
-    @property
     def ir_result_rate(self) -> float:
         return self.ir_result_reused / self.committed if self.committed else 0.0
 

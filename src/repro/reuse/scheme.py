@@ -123,8 +123,7 @@ class ReuseEngine:
             if self.telemetry is not None:
                 self.telemetry.emit(
                     "reuse_miss", cycle, op.seq, pc,
-                    {"reason": self._explain_miss(op, cycle,
-                                                  store_conflict)})
+                    {"reason": self._explain_miss(op, cycle)})
             return _MISS
         buffer.touch(best.entry)
         self._count_recovery(best.entry)
@@ -134,38 +133,27 @@ class ReuseEngine:
                                  "address": best.address})
         return best
 
-    def _explain_miss(self, op: InflightOp, cycle: int,
-                      store_conflict: StoreConflictFn) -> str:
+    def _explain_miss(self, op: InflightOp, cycle: int) -> str:
         """Why the test failed — a trace-only re-walk of the set.
 
         Computed only when a telemetry sink is attached, so the hot path
-        pays nothing for it.  The reason is the first matching entry's
-        first failing condition, in test order.
+        pays nothing for it.  A miss means every entry at the PC failed
+        the operand test: a memory op's entry always holds its address,
+        and one whose operands pass is an address hit.  So the reason is
+        the first matching entry's first failing operand, or
+        ``no_entry`` when the PC has none.
         """
-        meta = op.meta
-        pc = meta.pc
+        pc = op.meta.pc
         buffer = self.buffer
+        src_values = op.src_values
         for entry in buffer.sets[(pc >> 2) & buffer.set_mask]:
             if entry.pc != pc:
                 continue
-            src_values = op.src_values
             for reg, stored_value in entry.operands:
                 if src_values.get(reg) != stored_value:
                     return "operand_mismatch"
                 if not self._value_available(op, reg, cycle):
                     return "operand_unavailable"
-            if meta.is_mem:
-                if entry.address is None:
-                    return "no_address"
-                if meta.is_load:
-                    if not entry.result_valid:
-                        return "result_invalid"
-                    if not entry.mem_valid:
-                        return "mem_invalidated"
-                    if store_conflict(op.seq, entry.address,
-                                      entry.mem_bytes):
-                        return "store_conflict"
-            return "unknown"
         return "no_entry"
 
     def _operands_match(self, op: InflightOp, entry: RBEntry,
@@ -217,8 +205,6 @@ class ReuseEngine:
 
     def _test_memory(self, op: InflightOp, entry: RBEntry,
                      store_conflict: StoreConflictFn) -> ReuseDecision:
-        if entry.address is None:
-            return _MISS
         decision = ReuseDecision(entry=entry, address=True)
         if (op.meta.is_load and entry.result_valid and entry.mem_valid
                 and not store_conflict(op.seq, entry.address,

@@ -140,9 +140,7 @@ class TelemetrySink:
             "total_committed": stats.committed,
         }
         if core.vp is not None:
-            snapshot = getattr(core.vp, "telemetry_snapshot", None)
-            if snapshot is not None:
-                context["vp"] = snapshot()
+            context["vp"] = core.vp.telemetry_snapshot()
         self.series.context.update(context)
 
     # -- artifact output --------------------------------------------------------------

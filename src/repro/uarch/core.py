@@ -444,8 +444,8 @@ class OutOfOrderCore:
         cycle = self.cycle
         if meta.has_dest and outcome.result is not None \
                 and not meta.is_store:
-            predicted = self.vp.predict_result(meta.pc, outcome.result,
-                                               key=meta.vp_result_key)
+            predicted = self.vp.predict_result(meta.vp_result_key,
+                                               outcome.result)
             if predicted is not None:
                 op.predicted = True
                 op.predicted_value = predicted
@@ -455,9 +455,8 @@ class OutOfOrderCore:
                         "vp_predict", cycle, op.seq, meta.pc,
                         {"what": "result", "value": predicted})
         if meta.is_mem:
-            predicted_addr = self.vp.predict_address(meta.pc,
-                                                     outcome.mem_addr,
-                                                     key=meta.vp_addr_key)
+            predicted_addr = self.vp.predict_address(meta.vp_addr_key,
+                                                     outcome.mem_addr)
             if predicted_addr is not None:
                 op.addr_predicted = True
                 op.predicted_addr = predicted_addr
@@ -1223,9 +1222,9 @@ class OutOfOrderCore:
             stats.squashed_instructions += 1
             if vp is not None:
                 if victim.predicted:
-                    vp.abort_result(victim.meta.pc)
+                    vp.abort(victim.meta.vp_result_key)
                 if victim.addr_predicted:
-                    vp.abort_address(victim.meta.pc)
+                    vp.abort(victim.meta.vp_addr_key)
             if victim.exec_count > 0:
                 stats.squashed_executed += 1
                 if self.ir is not None:
@@ -1386,7 +1385,7 @@ class OutOfOrderCore:
                          "correct": predicted_value == outcome.result,
                          "predicted": predicted_value,
                          "actual": outcome.result})
-            self.vp.train_result(meta.pc, outcome.result,
+            self.vp.train_result(meta.vp_result_key, outcome.result,
                                  op.predicted_value if predicted else None)
         if meta.is_mem:
             stats.vp_addr_lookups += 1
@@ -1403,7 +1402,7 @@ class OutOfOrderCore:
                          "correct": predicted_addr == outcome.mem_addr,
                          "predicted": predicted_addr,
                          "actual": outcome.mem_addr})
-            self.vp.train_address(meta.pc, outcome.mem_addr,
+            self.vp.train_address(meta.vp_addr_key, outcome.mem_addr,
                                   op.predicted_addr if addr_predicted
                                   else None)
 

@@ -29,6 +29,7 @@ from ..functional.compiled import compile_exec
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Format, OpClass, REG_FCC, REG_HI, REG_LO
 from ..isa.program import Program
+from ..vp.table import KIND_ADDRESS, KIND_RESULT, vp_key
 
 # Stable small-int index per FU class: StaticOp carries the index and
 # FunctionalUnits exposes a parallel list, so the per-issue pool lookup
@@ -122,9 +123,9 @@ class StaticOp:
         else:
             self.pair_reg = -1
 
-        # Shared key layout of the VPT and stride tables: (pc>>2)<<1|kind.
-        self.vp_result_key = (inst.pc >> 2) << 1
-        self.vp_addr_key = self.vp_result_key | 1
+        # The value predictor's table keys (every call passes one).
+        self.vp_result_key = vp_key(inst.pc, KIND_RESULT)
+        self.vp_addr_key = vp_key(inst.pc, KIND_ADDRESS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<static {self.opcode.name}@{self.pc:#x}>"

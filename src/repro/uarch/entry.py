@@ -34,8 +34,7 @@ Lifetime (see ``docs/internals.md``):
 
 The static classification flags the hot path reads (``is_load``,
 ``is_mem``...) are copied from the shared :class:`StaticOp` into slots;
-the ones only commit observers read (``inst``, ``executes``...) are
-properties over it.
+everything else static is read off ``meta``.
 """
 
 from __future__ import annotations
@@ -158,37 +157,13 @@ class InflightOp:
     def inst(self) -> Instruction:
         return self.meta.inst
 
-    @property
-    def is_cond_branch(self) -> bool:
-        return bool(self.meta.is_branch)
-
-    @property
-    def needs_checkpoint(self) -> bool:
-        return bool(self.meta.needs_checkpoint)
-
-    @property
-    def executes(self) -> bool:
-        return bool(self.meta.executes)
-
-    # -- dataflow helpers (cold paths: the core inlines these) -------------------------
-
-    def value_for_reg(self, reg: int) -> Optional[int]:
-        """Current broadcast value of my dest *reg* (HI vs LO aware)."""
-        if reg == REG_HI and self.writes_hi_lo:
-            return self.current_hi
-        return self.current_value
+    # -- operand readiness (cold paths: the core inlines these) ------------------------
 
     def reg_ready_cycle(self, reg: int) -> Optional[int]:
         """When my dest *reg* became available to consumers."""
         if reg == REG_HI and self.writes_hi_lo:
             return self.hi_ready_cycle
         return self.value_ready_cycle
-
-    def final_value_for_reg(self, reg: int) -> Optional[int]:
-        """Value of *reg* once I am non-speculative (oracle on my path)."""
-        if reg == REG_HI and self.writes_hi_lo:
-            return self.outcome.result_hi
-        return self.outcome.result
 
     def operands_ready(self, issue_cycle: int) -> bool:
         """Can an execution issuing at *issue_cycle* read all inputs?"""
@@ -197,10 +172,6 @@ class InflightOp:
             if ready is None or ready >= issue_cycle:
                 return False
         return True
-
-    def inputs_match_oracle(self, values: Dict[int, int]) -> bool:
-        src_values = self.src_values
-        return all(values[reg] == src_values[reg] for reg in values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<op#{self.seq} {self.meta.opcode.name}@{self.meta.pc:#x}"

@@ -50,9 +50,6 @@ class FCMTable:
     incumbent's confidence has decayed to zero.
     """
 
-    KIND_RESULT = 0
-    KIND_ADDRESS = 1
-
     def __init__(self, config: VPConfig):
         self.config = config
         self.order = max(1, config.fcm_order)
@@ -67,11 +64,6 @@ class FCMTable:
         self.val_tags: List[Optional[int]] = [None] * size
         self.val_values: List[int] = [0] * size
         self.val_conf: List[int] = [0] * size
-
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        # Shared key layout of the VPT/stride tables: (pc>>2)<<1 | kind.
-        return ((pc >> 2) << 1) | kind
 
     # -- level 1 ----------------------------------------------------------------
 
@@ -156,70 +148,56 @@ class FCMTable:
         return sum(1 for tag in self.ctx_tags if tag is not None)
 
 
-class FCMPredictor:
-    """Drop-in predictor with the :class:`ValuePredictor` interface."""
+class InFlight:
+    """Per-key count of predictions whose instances have neither
+    committed nor been squashed; the base of the FCM and selector models.
 
-    def __init__(self, config: VPConfig):
-        self.config = config
-        self.table = FCMTable(config)
-        # Predictions issued for instances that have not committed yet,
-        # per key: the k-th outstanding prediction chains the level-2
-        # table k+1 links past the committed context (see peek()).
+    With k predictions in flight, the next prediction for the key looks
+    k+1 steps past the last committed value (see :meth:`FCMTable.peek`).
+    """
+
+    def __init__(self) -> None:
         self.outstanding: Dict[int, int] = {}
 
-    def _predict(self, key: int) -> Optional[int]:
-        value = self.table.peek(key, self.outstanding.get(key, 0) + 1)
-        if value is not None:
-            self.outstanding[key] = self.outstanding.get(key, 0) + 1
-        return value
+    def ahead(self, key: int) -> int:
+        """How many steps past the committed value the next prediction
+        for *key* lies."""
+        return self.outstanding.get(key, 0) + 1
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        if key is None:
-            key = self.table.key(pc, FCMTable.KIND_RESULT)
-        return self._predict(key)
+    def enter(self, key: int) -> None:
+        """One more prediction for *key* is in flight."""
+        self.outstanding[key] = self.outstanding.get(key, 0) + 1
 
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        if not self.config.predict_addresses:
-            return None
-        if key is None:
-            key = self.table.key(pc, FCMTable.KIND_ADDRESS)
-        return self._predict(key)
-
-    def _retire(self, key: int) -> None:
+    def retire(self, key: int) -> None:
+        """One predicted instance of *key* committed or was squashed."""
         pending = self.outstanding.get(key, 0)
         if pending > 1:
             self.outstanding[key] = pending - 1
         elif pending:
-            self.outstanding.pop(key, None)
+            del self.outstanding[key]
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        key = self.table.key(pc, FCMTable.KIND_RESULT)
+    # The model protocol's squash notification.
+    abort = retire
+
+
+class FCMModel(InFlight):
+    """The FCM predictor over an :class:`FCMTable`."""
+
+    def __init__(self, config: VPConfig):
+        super().__init__()
+        self.table = FCMTable(config)
+
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        value = self.table.peek(key, self.ahead(key))
+        if value is not None:
+            self.enter(key)
+        return value
+
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
         self.table.train(key, actual)
         if predicted is not None:
-            self._retire(key)
+            self.retire(key)
 
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            key = self.table.key(pc, FCMTable.KIND_ADDRESS)
-            self.table.train(key, actual)
-            if predicted is not None:
-                self._retire(key)
-
-    def abort_result(self, pc: int) -> None:
-        """A predicted instance was squashed before committing."""
-        self._retire(self.table.key(pc, FCMTable.KIND_RESULT))
-
-    def abort_address(self, pc: int) -> None:
-        self._retire(self.table.key(pc, FCMTable.KIND_ADDRESS))
-
-    def telemetry_snapshot(self) -> dict:
-        """End-of-run predictor facts for telemetry context blocks."""
-        return {
-            "kind": self.config.kind.value,
-            "fcm_order": self.table.order,
-            "fcm_contexts": self.table.occupied_contexts(),
-        }
+    def snapshot(self) -> dict:
+        return {"fcm_order": self.table.order,
+                "fcm_contexts": self.table.occupied_contexts()}

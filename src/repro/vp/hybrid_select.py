@@ -25,21 +25,24 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa.opcodes import u32
 from ..uarch.config import VPConfig
-from .fcm import FCMTable
+from .fcm import FCMTable, InFlight
 from .stride import StrideTable
 from .table import ValuePredictionTable
-
-KIND_RESULT = 0
-KIND_ADDRESS = 1
 
 #: Fixed arbitration order; earlier wins selector-confidence ties.
 COMPONENTS = ("stride", "lvp", "fcm")
 
 
-class HybridSelectPredictor:
-    """Drop-in predictor with the :class:`ValuePredictor` interface."""
+class SelectModel(InFlight):
+    """The selector over its stride, LVP and FCM component tables.
+
+    Its in-flight count covers predictions from any component: the
+    stride candidate for the k-th outstanding instance is
+    last + (k+1) * stride, exactly as the standalone predictor.
+    """
 
     def __init__(self, config: VPConfig):
+        super().__init__()
         self.config = config
         self.stride = StrideTable(config)
         # The LVP component is a one-instance-per-instruction VPT.
@@ -50,18 +53,7 @@ class HybridSelectPredictor:
         # confidence vector per static instruction (bounded by the
         # program's static footprint, like the decode table).
         self.selector: Dict[int, List[int]] = {}
-        # In-flight predictions per key (any component): the stride
-        # candidate for the k-th outstanding instance is
-        # last + (k+1) * stride, exactly as the standalone predictor.
-        self.outstanding: Dict[int, int] = {}
         self.component_predictions = {name: 0 for name in COMPONENTS}
-
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        # Shared key layout of the VPT/stride/FCM tables.
-        return ((pc >> 2) << 1) | kind
-
-    # -- component candidates (read-only peeks) ---------------------------------
 
     def _candidates(self, key: int,
                     offset: int) -> Tuple[Optional[int], ...]:
@@ -72,18 +64,17 @@ class HybridSelectPredictor:
         instance), ``outstanding + 1`` at predict time.
         """
         threshold = self.config.confidence_threshold
-        entry = self.stride.find_key(key)
+        entry = self.stride.find(key)
         stride_candidate = None
         if entry is not None and entry.confidence >= threshold:
             stride_candidate = u32(entry.last_value
                                    + entry.stride * offset)
-        confident = self.lvp.confident_for_key(key)
+        confident = self.lvp.confident(key)
         lvp_candidate = confident[0].value if confident else None
         return stride_candidate, lvp_candidate, self.fcm.peek(key, offset)
 
-    def _predict(self, key: int) -> Optional[int]:
-        offset = self.outstanding.get(key, 0) + 1
-        candidates = self._candidates(key, offset)
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        candidates = self._candidates(key, self.ahead(key))
         if all(candidate is None for candidate in candidates):
             return None
         confidences = self.selector.get(key)
@@ -100,30 +91,10 @@ class HybridSelectPredictor:
                 or confidences[best_index] < self.config.confidence_threshold:
             return None
         self.component_predictions[COMPONENTS[best_index]] += 1
-        self.outstanding[key] = self.outstanding.get(key, 0) + 1
+        self.enter(key)
         return candidates[best_index]
 
-    # -- prediction (dispatch time) ----------------------------------------------
-
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        if key is None:
-            key = self.key(pc, KIND_RESULT)
-        return self._predict(key)
-
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        if not self.config.predict_addresses:
-            return None
-        if key is None:
-            key = self.key(pc, KIND_ADDRESS)
-        return self._predict(key)
-
-    # -- training (commit time) -----------------------------------------------------
-
-    def _train(self, pc: int, kind: int, actual: int,
-               predicted: Optional[int]) -> None:
-        key = self.key(pc, kind)
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
         # Score every component on what it would have predicted for the
         # committing instance (offset 1 past the last committed value).
         candidates = self._candidates(key, 1)
@@ -139,50 +110,16 @@ class HybridSelectPredictor:
             else:
                 confidences[index] = max(0, confidences[index] - 1)
         # Train the components themselves.
-        self.stride.update(pc, kind, actual)
-        self.lvp.update(pc, kind, actual,
+        self.stride.update(key, actual)
+        self.lvp.update(key, actual,
                         candidates[1] if candidates[1] is not None
                         and candidates[1] != actual else None)
         self.fcm.train(key, actual)
         if predicted is not None:
-            pending = self.outstanding.get(key, 0)
-            if pending > 1:
-                self.outstanding[key] = pending - 1
-            else:
-                self.outstanding.pop(key, None)
+            self.retire(key)
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        self._train(pc, KIND_RESULT, actual, predicted)
-
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self._train(pc, KIND_ADDRESS, actual, predicted)
-
-    # -- squash notifications ---------------------------------------------------
-
-    def _abort(self, key: int) -> None:
-        pending = self.outstanding.get(key, 0)
-        if pending > 1:
-            self.outstanding[key] = pending - 1
-        elif pending:
-            self.outstanding.pop(key, None)
-
-    def abort_result(self, pc: int) -> None:
-        self._abort(self.key(pc, KIND_RESULT))
-
-    def abort_address(self, pc: int) -> None:
-        self._abort(self.key(pc, KIND_ADDRESS))
-
-    # -- observability ----------------------------------------------------------------
-
-    def telemetry_snapshot(self) -> dict:
-        """End-of-run predictor facts for telemetry context blocks."""
-        snapshot = {
-            "kind": self.config.kind.value,
-            "selector_entries": len(self.selector),
-        }
+    def snapshot(self) -> dict:
+        snapshot = {"selector_entries": len(self.selector)}
         for name in COMPONENTS:
             snapshot[f"{name}_predictions"] = \
                 self.component_predictions[name]

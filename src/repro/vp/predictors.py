@@ -1,4 +1,4 @@
-"""VP_Magic and VP_LVP value predictors (Section 4.1.1).
+"""The value-predictor front end, and VP_Magic / VP_LVP (Section 4.1.1).
 
 ``VP_Magic`` stores the last *n* unique results of an instruction (n = VPT
 associativity = 4) with 2-bit confidence counters and uses an *oracle
@@ -19,52 +19,104 @@ dispatch-time outcome — no separate oracle simulator is required.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Optional, Protocol
 
 from ..uarch.config import PredictorKind, VPConfig
-from .table import KIND_ADDRESS, KIND_RESULT, ValuePredictionTable
+from .fcm import FCMModel
+from .hybrid_select import SelectModel
+from .stride import StrideModel
+from .table import ValuePredictionTable
+
+
+class Model(Protocol):
+    """What :class:`ValuePredictor` asks of each kind's model."""
+
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        """The prediction for *key*, or ``None``; *oracle* is the
+        correct value along the current (possibly wrong) path."""
+
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
+        """The committed value, and what was predicted for that
+        instance (``None`` when nothing was)."""
+
+    def abort(self, key: int) -> None:
+        """A predicted instance of *key* was squashed before commit."""
+
+    def snapshot(self) -> dict:
+        """End-of-run facts for the telemetry ``vp`` block."""
 
 
 class ValuePredictor:
-    """Front-end interface of the value predictor used by the core."""
+    """The value predictor the core calls, for every :class:`PredictorKind`.
+
+    It owns the entry points, the ``predict_addresses`` gate and the
+    lookup counters, and hands each call's table key (``vp_key`` in
+    :mod:`repro.vp.table`, which decode precomputes as
+    ``StaticOp.vp_result_key`` / ``vp_addr_key``) to the kind's
+    :class:`Model`.
+    """
 
     def __init__(self, config: VPConfig):
         self.config = config
-        self.table = ValuePredictionTable(config)
+        self.model: Model = MODELS[config.kind](config)
         self.result_lookups = 0
         self.addr_lookups = 0
 
     # -- prediction (dispatch time) ----------------------------------------------
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        """Predict the result of the instruction at *pc*, or ``None``.
-
-        *oracle* is the correct result along the current (possibly wrong)
-        path, used only for VP_Magic's oracle selection policy.  *key* is
-        the optional pre-computed table key (``StaticOp.vp_result_key``);
-        it saves re-deriving the key from the PC on the hot path.
-        """
+    def predict_result(self, key: int, oracle: int) -> Optional[int]:
+        """Predict the result of the instruction with result key *key*."""
         self.result_lookups += 1
-        if key is None:
-            key = self.table.key(pc, KIND_RESULT)
-        return self._predict(key, oracle)
+        return self.model.predict(key, oracle)
 
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        """Predict the effective address of the memory op at *pc*."""
+    def predict_address(self, key: int, oracle: int) -> Optional[int]:
+        """Predict the effective address of the memory op with address
+        key *key*."""
         if not self.config.predict_addresses:
             return None
         self.addr_lookups += 1
-        if key is None:
-            key = self.table.key(pc, KIND_ADDRESS)
-        return self._predict(key, oracle)
+        return self.model.predict(key, oracle)
 
-    def _predict(self, key: int, oracle: int) -> Optional[int]:
-        confident = self.table.confident_for_key(key)
+    # -- training (commit time) -----------------------------------------------------
+
+    def train_result(self, key: int, actual: int,
+                     predicted: Optional[int]) -> None:
+        self.model.train(key, actual, predicted)
+
+    def train_address(self, key: int, actual: int,
+                      predicted: Optional[int]) -> None:
+        if self.config.predict_addresses:
+            self.model.train(key, actual, predicted)
+
+    def abort(self, key: int) -> None:
+        """A predicted instance (result or address key) was squashed."""
+        self.model.abort(key)
+
+    # -- observability ----------------------------------------------------------------
+
+    def telemetry_snapshot(self) -> dict:
+        """End-of-run predictor facts for telemetry context blocks."""
+        snapshot = {
+            "kind": self.config.kind.value,
+            "result_lookups": self.result_lookups,
+            "addr_lookups": self.addr_lookups,
+        }
+        snapshot.update(self.model.snapshot())
+        return snapshot
+
+
+class VPTModel:
+    """VP_Magic and VP_LVP over a :class:`ValuePredictionTable`."""
+
+    def __init__(self, config: VPConfig):
+        self.table = ValuePredictionTable(config)
+        self.magic = config.kind == PredictorKind.MAGIC
+
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        confident = self.table.confident(key)
         if not confident:
             return None
-        if self.config.kind == PredictorKind.MAGIC:
+        if self.magic:
             for instance in confident:
                 if instance.value == oracle:
                     return instance.value
@@ -72,38 +124,18 @@ class ValuePredictor:
         best = max(confident, key=lambda inst: inst.confidence)
         return best.value
 
-    # -- training (commit time) -----------------------------------------------------
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
+        self.table.update(key, actual, predicted)
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        self.table.update(pc, KIND_RESULT, actual, predicted)
+    def abort(self, key: int) -> None:
+        """The table is stateless with respect to in-flight predictions."""
 
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self.table.update(pc, KIND_ADDRESS, actual, predicted)
-
-    def abort_result(self, pc: int) -> None:
-        """Squash notification; the table-based predictors are stateless
-        with respect to in-flight predictions."""
-
-    def abort_address(self, pc: int) -> None:
-        pass
-
-    # -- observability ----------------------------------------------------------------
-
-    def telemetry_snapshot(self) -> dict:
-        """End-of-run predictor facts for telemetry context blocks."""
-        return {
-            "kind": self.config.kind.value,
-            "result_lookups": self.result_lookups,
-            "addr_lookups": self.addr_lookups,
-            "vpt_instances": sum(len(ways) for ways in self.table.sets),
-        }
+    def snapshot(self) -> dict:
+        return {"vpt_instances": sum(len(ways) for ways in self.table.sets)}
 
 
-class PerfectPredictor:
-    """Oracle predictor: every eligible instruction predicted correctly.
+class PerfectModel:
+    """VP_Perfect: every eligible instruction predicted correctly.
 
     The paper's footnote 3 notes that the measured redundancy (Figure 8)
     is "a rough upper bound on the number of instructions that can be
@@ -114,43 +146,32 @@ class PerfectPredictor:
     """
 
     def __init__(self, config: VPConfig):
-        self.config = config
+        pass
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None):
+    def predict(self, key: int, oracle: int) -> int:
         return oracle
 
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None):
-        return oracle if self.config.predict_addresses else None
-
-    def train_result(self, pc: int, actual: int, predicted) -> None:
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
         pass
 
-    def train_address(self, pc: int, actual: int, predicted) -> None:
+    def abort(self, key: int) -> None:
         pass
 
-    def abort_result(self, pc: int) -> None:
-        pass
-
-    def abort_address(self, pc: int) -> None:
-        pass
-
-    def telemetry_snapshot(self) -> dict:
-        return {"kind": self.config.kind.value}
+    def snapshot(self) -> dict:
+        return {}
 
 
-def make_predictor(config: VPConfig):
-    """Factory: the right predictor object for *config.kind*."""
-    if config.kind == PredictorKind.STRIDE:
-        from .stride import StridePredictor
-        return StridePredictor(config)
-    if config.kind == PredictorKind.FCM:
-        from .fcm import FCMPredictor
-        return FCMPredictor(config)
-    if config.kind == PredictorKind.HYBRID_SELECT:
-        from .hybrid_select import HybridSelectPredictor
-        return HybridSelectPredictor(config)
-    if config.kind == PredictorKind.PERFECT:
-        return PerfectPredictor(config)
+#: The model behind each kind.
+MODELS: Dict[PredictorKind, Callable[[VPConfig], Model]] = {
+    PredictorKind.MAGIC: VPTModel,
+    PredictorKind.LAST_VALUE: VPTModel,
+    PredictorKind.STRIDE: StrideModel,
+    PredictorKind.FCM: FCMModel,
+    PredictorKind.HYBRID_SELECT: SelectModel,
+    PredictorKind.PERFECT: PerfectModel,
+}
+
+
+def make_predictor(config: VPConfig) -> ValuePredictor:
+    """The predictor the core builds for *config*."""
     return ValuePredictor(config)

@@ -18,7 +18,7 @@ keeps one-off jumps (e.g. loop exits) from destroying a learned pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..isa.opcodes import u32
 from ..uarch.config import VPConfig
@@ -52,27 +52,15 @@ class StrideTable:
         self.sets: List[List[StrideEntry]] = [[] for _ in
                                               range(self.num_sets)]
 
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        return ((pc >> 2) << 1) | kind
-
-    def _set_for(self, key: int) -> List[StrideEntry]:
-        return self.sets[key & self.set_mask]
-
-    def find(self, pc: int, kind: int) -> Optional[StrideEntry]:
-        return self.find_key(self.key(pc, kind))
-
-    def find_key(self, key: int) -> Optional[StrideEntry]:
-        """Like :meth:`find` with a pre-computed key."""
+    def find(self, key: int) -> Optional[StrideEntry]:
         for entry in self.sets[key & self.set_mask]:
             if entry.tag == key:
                 return entry
         return None
 
-    def update(self, pc: int, kind: int, actual: int,
+    def update(self, key: int, actual: int,
                was_predicted: bool = False) -> None:
-        key = self.key(pc, kind)
-        ways = self._set_for(key)
+        ways = self.sets[key & self.set_mask]
         for index, entry in enumerate(ways):
             if entry.tag == key:
                 delta = u32(actual - entry.last_value)
@@ -98,64 +86,28 @@ class StrideTable:
             ways.pop()
 
 
-class StridePredictor:
-    """Drop-in predictor with the :class:`ValuePredictor` interface."""
-
-    KIND_RESULT = 0
-    KIND_ADDRESS = 1
+class StrideModel:
+    """The stride predictor over a :class:`StrideTable`."""
 
     def __init__(self, config: VPConfig):
         self.config = config
         self.table = StrideTable(config)
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        if key is None:
-            key = self.table.key(pc, self.KIND_RESULT)
-        return self._predict(key)
-
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        if not self.config.predict_addresses:
-            return None
-        if key is None:
-            key = self.table.key(pc, self.KIND_ADDRESS)
-        return self._predict(key)
-
-    def _predict(self, key: int) -> Optional[int]:
-        entry = self.table.find_key(key)
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        entry = self.table.find(key)
         if entry is None \
                 or entry.confidence < self.config.confidence_threshold:
             return None
         entry.outstanding += 1
         return u32(entry.last_value + entry.stride * entry.outstanding)
 
-    def abort_result(self, pc: int) -> None:
-        """A predicted instance was squashed before committing."""
-        self._abort(pc, self.KIND_RESULT)
+    def train(self, key: int, actual: int, predicted: Optional[int]) -> None:
+        self.table.update(key, actual, was_predicted=predicted is not None)
 
-    def abort_address(self, pc: int) -> None:
-        self._abort(pc, self.KIND_ADDRESS)
-
-    def _abort(self, pc: int, kind: int) -> None:
-        entry = self.table.find(pc, kind)
+    def abort(self, key: int) -> None:
+        entry = self.table.find(key)
         if entry is not None:
             entry.outstanding = max(0, entry.outstanding - 1)
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        self.table.update(pc, self.KIND_RESULT, actual,
-                          was_predicted=predicted is not None)
-
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self.table.update(pc, self.KIND_ADDRESS, actual,
-                              was_predicted=predicted is not None)
-
-    def telemetry_snapshot(self) -> dict:
-        """End-of-run predictor facts for telemetry context blocks."""
-        return {
-            "kind": self.config.kind.value,
-            "stride_entries": sum(len(ways) for ways in self.table.sets),
-        }
+    def snapshot(self) -> dict:
+        return {"stride_entries": sum(len(ways) for ways in self.table.sets)}

@@ -1,4 +1,4 @@
-"""The Value Prediction Table (VPT).
+"""The Value Prediction Table (VPT) and the predictor tables' key layout.
 
 Section 4.1.3: 16K entries, 4-way set associative with LRU replacement —
 i.e. up to four value *instances* per static instruction — each instance
@@ -8,16 +8,27 @@ instance per instruction.
 
 Result and address predictions share the table's capacity: a memory
 instruction's address instances are stored under a distinct key derived
-from its PC (keys are ``(pc << 1) | kind``), so total storage matches the
-paper's single 16K-entry budget.
+from its PC (see :func:`vp_key`), so total storage matches the paper's
+single 16K-entry budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..uarch.config import VPConfig
+
+KIND_RESULT = 0
+KIND_ADDRESS = 1
+
+
+def vp_key(pc: int, kind: int) -> int:
+    """The table key of the instruction at *pc*'s result or address
+    stream (*kind*), shared by every predictor table: the word address
+    with the kind in the low bit.  Decode computes it once per static
+    instruction (``StaticOp.vp_result_key`` / ``vp_addr_key``)."""
+    return ((pc >> 2) << 1) | kind
 
 
 @dataclass
@@ -27,10 +38,6 @@ class VPTInstance:
     tag: int
     value: int
     confidence: int
-
-
-KIND_RESULT = 0
-KIND_ADDRESS = 1
 
 
 class ValuePredictionTable:
@@ -46,28 +53,17 @@ class ValuePredictionTable:
         # MRU-first lists of instances.
         self.sets: List[List[VPTInstance]] = [[] for _ in range(self.num_sets)]
 
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        return ((pc >> 2) << 1) | kind
-
-    def _set_for(self, key: int) -> List[VPTInstance]:
-        return self.sets[key & self.set_mask]
-
-    def confident_instances(self, pc: int, kind: int) -> List[VPTInstance]:
-        """All instances for this instruction at or above the threshold."""
-        return self.confident_for_key(self.key(pc, kind))
-
-    def confident_for_key(self, key: int) -> List[VPTInstance]:
-        """Like :meth:`confident_instances` with a pre-computed key."""
+    def confident(self, key: int) -> List[VPTInstance]:
+        """All instances for *key* at or above the threshold, MRU first."""
         threshold = self.config.confidence_threshold
         return [inst for inst in self.sets[key & self.set_mask]
                 if inst.tag == key and inst.confidence >= threshold]
 
-    def instances(self, pc: int, kind: int) -> List[VPTInstance]:
-        key = self.key(pc, kind)
-        return [inst for inst in self._set_for(key) if inst.tag == key]
+    def instances(self, key: int) -> List[VPTInstance]:
+        return [inst for inst in self.sets[key & self.set_mask]
+                if inst.tag == key]
 
-    def update(self, pc: int, kind: int, actual: int,
+    def update(self, key: int, actual: int,
                mispredicted: Optional[int] = None) -> None:
         """Train the table with the committed *actual* value.
 
@@ -76,8 +72,7 @@ class ValuePredictionTable:
         * when a wrong prediction *mispredicted* was made, the instance
           that supplied it loses confidence.
         """
-        key = self.key(pc, kind)
-        ways = self._set_for(key)
+        ways = self.sets[key & self.set_mask]
 
         if mispredicted is not None and mispredicted != actual:
             for inst in ways:

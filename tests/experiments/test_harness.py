@@ -24,9 +24,10 @@ from repro.experiments import (
     table5,
     table6,
 )
-from repro.experiments.cli import EXPERIMENTS, build_parser, main
+from repro.experiments.cli import EXPERIMENTS, PAIRS, build_parser, main
 from repro.experiments.configs import BASE, IR_EARLY, vp_magic
 from repro.metrics.report import Report
+from repro.metrics.stats import SimStats
 from repro.uarch.config import base_config
 from repro.workloads import workload_names
 
@@ -156,6 +157,40 @@ class TestCli:
             assert excinfo.value.code == 2
             assert f"{flag} must be positive, got {value}" \
                 in capsys.readouterr().err
+
+
+class RecordingRunner(ExperimentRunner):
+    """Simulates nothing: :meth:`run` records each cell a report reads
+    and returns fixed stats; :meth:`run_many` returns the same stats
+    without recording them, so a prefetch is not a read."""
+
+    STATS = SimStats(cycles=1_000, committed=800)
+
+    def __init__(self):
+        super().__init__(quiet=True, use_checkpoints=False)
+        self.read = set()
+
+    def run(self, workload, config):
+        self.read.add((workload, config.name))
+        return self.STATS
+
+    def run_many(self, pairs, jobs=None):
+        return {(workload, config.name): self.STATS
+                for workload, config in pairs}
+
+
+class TestDeclaredCells:
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, pairs in PAIRS.items() if pairs()))
+    def test_reports_read_exactly_the_declared_cells(self, name):
+        """``pairs()`` is what a multi-experiment sweep simulates up
+        front: a declared cell no report reads is simulated for
+        nothing, and a read cell it misses runs outside the pool."""
+        runner = RecordingRunner()
+        EXPERIMENTS[name](runner)
+        declared = {(workload, config.name)
+                    for workload, config in PAIRS[name]()}
+        assert runner.read == declared
 
 
 class TestAblations:

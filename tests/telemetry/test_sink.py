@@ -6,6 +6,7 @@ from repro.isa import assemble
 from repro.telemetry import TelemetrySink
 from repro.uarch.config import base_config, ir_config, vp_config
 from repro.uarch.core import OutOfOrderCore
+from repro.workloads import get_workload
 
 SOURCE = """
 main:   li $s0, 60
@@ -122,6 +123,18 @@ class TestEventPath:
         _, sink = run_core(ir_config(), interval=100)
         misses = sink.trace.select(kinds=["reuse_miss"])
         assert misses and all(m.data.get("reason") for m in misses)
+
+    def test_reuse_miss_reasons_are_operand_test_failures(self):
+        """A miss means every entry at the PC failed the operand test,
+        so these three reasons are all there is; compress shows each."""
+        core = OutOfOrderCore(ir_config(),
+                              get_workload("compress").program())
+        sink = core.enable_telemetry(interval=1_000)
+        core.run(max_instructions=3_000)
+        reasons = {event.data["reason"]
+                   for event in sink.trace.select(kinds=["reuse_miss"])}
+        assert reasons == {"no_entry", "operand_mismatch",
+                           "operand_unavailable"}
 
     def test_explicit_sink_is_attached_and_returned(self):
         sink = TelemetrySink(interval=50)
