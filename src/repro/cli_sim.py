@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .functional.checkpoint import CheckpointStore
-from .isa import assemble
+from .isa import AssemblyError, assemble
 from .metrics.breakdown import ClassBreakdown
 from .uarch.config import (
     IRValidation,
@@ -106,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "later invocations skip the warm-up "
                              "(default: share within this invocation "
                              "only)")
-    parser.add_argument("--no-checkpoint", action="store_true",
-                        help="re-execute the warm-up skip for every "
-                             "configuration")
     return parser
 
 
@@ -121,6 +118,8 @@ def _per_config_path(path: Path, config_name: str,
 
 
 def _load_program(args):
+    """``(program, skip, label)``; a bad workload, variant or source
+    file exits with a one-line message."""
     if args.workload:
         try:
             spec = get_workload(args.workload)
@@ -129,14 +128,23 @@ def _load_program(args):
                 f"unknown workload {args.workload!r} "
                 f"(bundled: {', '.join(sorted(workload_names()))}; "
                 f"or a canonical 'gen-...' name): {exc}")
+        if args.variant not in spec.variants:
+            raise SystemExit(
+                f"workload {args.workload!r} has no input variant "
+                f"{args.variant!r} (choose from {', '.join(spec.variants)})")
         skip = args.skip if args.skip is not None \
             else spec.skip_instructions
         label = f"{args.workload} ({args.variant})"
-        return (lambda: spec.program(args.variant)), skip, label
+        return spec.program(args.variant), skip, label
     if args.source is None:
         raise SystemExit("provide an assembly file or --workload")
-    text = args.source.read_text()
-    return (lambda: assemble(text)), (args.skip or 0), str(args.source)
+    try:
+        program = assemble(args.source.read_text())
+    except OSError as exc:
+        raise SystemExit(f"cannot read {args.source}: {exc.strerror}")
+    except AssemblyError as exc:
+        raise SystemExit(f"{args.source}: {exc}")
+    return program, (args.skip or 0), str(args.source)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -152,14 +160,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"{flag} must be "
                          f"{'positive' if least else 'non-negative'}, "
                          f"got {value}")
-    program_fn, skip, label = _load_program(args)
-
     # One program image for every configuration (it is immutable), and
-    # one warm-up: each config restores the captured warm state instead
-    # of re-executing the skip (identical statistics either way).
-    program = program_fn()
-    checkpoints = None if args.no_checkpoint \
-        else CheckpointStore(args.checkpoint_dir)
+    # one warm-up: each config restores the captured warm state.
+    program, skip, label = _load_program(args)
+    checkpoints = CheckpointStore(args.checkpoint_dir)
 
     print(f"program: {label}   skip: {skip}   "
           f"budget: {args.instructions} instructions")
@@ -193,10 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 interval=args.telemetry_interval,
                 trace_capacity=args.trace_buffer,
                 events=args.trace_out is not None)
-        if checkpoints is not None:
-            core.restore_warm(checkpoints.get(program, skip))
-        else:
-            core.skip(skip)
+        core.restore_warm(checkpoints.get(program, skip))
         stats = core.run(max_cycles=args.max_cycles,
                          max_instructions=args.instructions)
         if base_cycles is None:

@@ -136,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="warm-state checkpoint store directory "
                              "(default: <cache>/checkpoints; see "
                              "docs/internals.md)")
-    parser.add_argument("--no-checkpoint", action="store_true",
-                        help="re-execute every warm-up skip instead of "
-                             "restoring warm-state checkpoints")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check every commit against the "
                              "functional simulator (slower)")
@@ -165,8 +162,6 @@ def main(argv: List[str] | None = None) -> int:
         overrides["cache_dir"] = args.cache_dir
     if args.checkpoint_dir is not None:
         overrides["checkpoint_dir"] = args.checkpoint_dir
-    if args.no_checkpoint:
-        overrides["use_checkpoints"] = False
     if args.telemetry_dir is not None:
         overrides["telemetry_dir"] = args.telemetry_dir
     if args.telemetry_interval is not None:

@@ -101,7 +101,6 @@ class ExperimentRunner:
                  jobs: Optional[int] = None,
                  mp_start_method: Optional[str] = None,
                  checkpoint_dir: Optional[Path] = None,
-                 use_checkpoints: bool = True,
                  manifests: bool = True,
                  telemetry_dir: Optional[Path] = None,
                  telemetry_interval: Optional[int] = None):
@@ -137,10 +136,7 @@ class ExperimentRunner:
             checkpoint_dir = self.cache_dir / "checkpoints"
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
             else None
-        self.use_checkpoints = use_checkpoints
-        self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(self.checkpoint_dir) if use_checkpoints
-            else None)
+        self.checkpoints = CheckpointStore(self.checkpoint_dir)
         self._memory_cache: Dict[str, SimStats] = {}
         self._program_cache: Dict[str, Program] = {}
 
@@ -156,7 +152,6 @@ class ExperimentRunner:
             "jobs": self.jobs,
             "mp_start_method": self.mp_start_method,
             "checkpoint_dir": self.checkpoint_dir,
-            "use_checkpoints": self.use_checkpoints,
             "manifests": self.manifest_dir is not None,
             "telemetry_dir": self.telemetry_dir,
             "telemetry_interval": self.telemetry_interval,
@@ -329,10 +324,7 @@ class ExperimentRunner:
         if self.manifest_dir is None:
             return
         from ..telemetry.manifest import run_manifest, write_manifest
-        if cache_hit or self.checkpoints is None:
-            checkpoint = "disabled" if self.checkpoints is None else "cached"
-        else:
-            checkpoint = self.checkpoints.last_source or "disabled"
+        checkpoint = "cached" if cache_hit else self.checkpoints.last_source
         manifest = run_manifest(
             cache_key=key,
             workload=workload,
@@ -369,9 +361,8 @@ class ExperimentRunner:
         the warm-up skip, ready to run.
 
         ``verify`` turns on ``verify_commits``; the warm state comes
-        from the checkpoint store when the runner has one, else from a
-        cold skip (the statistics are identical either way).  Times the
-        ``decode`` and ``warm-restore`` phases into *phases*.
+        from the checkpoint store.  Times the ``decode`` and
+        ``warm-restore`` phases into *phases*.
         """
         from ..uarch.core import OutOfOrderCore
         if self.verify:
@@ -381,11 +372,8 @@ class ExperimentRunner:
         decoded = time.perf_counter()
         core = OutOfOrderCore(config, program)
         restoring = time.perf_counter()
-        if self.checkpoints is not None:
-            core.restore_warm(
-                self.checkpoints.get(program, spec.skip_instructions))
-        else:
-            core.skip(spec.skip_instructions)
+        core.restore_warm(
+            self.checkpoints.get(program, spec.skip_instructions))
         if phases is not None:
             phases["decode"] = decoded - started
             phases["warm-restore"] = time.perf_counter() - restoring
@@ -442,17 +430,15 @@ class ExperimentRunner:
         """Functional-simulation limit study (Figures 8-10). Not cached:
         it is much cheaper than a timing run.  The warm-up (which
         dominates: skip + warmup vs a smaller window) restores from the
-        checkpoint store when one is attached."""
+        checkpoint store; stepping after it executes at most the halt
+        the capture stopped in front of."""
         spec = get_workload(workload)
         program = self._program(spec)
         sim = FunctionalSimulator(program)
         total_skip = spec.skip_instructions + warmup
-        if self.checkpoints is not None:
-            warm = self.checkpoints.get(program, total_skip)
-            sim.restore(warm)
-            sim.skip(total_skip - warm.executed)
-        else:
-            sim.skip(total_skip)
+        warm = self.checkpoints.get(program, total_skip)
+        sim.restore(warm)
+        sim.skip(total_skip - warm.executed)
         analyzer = ReusabilityAnalyzer(producer_distance=producer_distance)
         for outcome in sim.stream(window):
             analyzer.observe(outcome)

@@ -27,11 +27,14 @@ trusted over recomputation.  Writes go through a per-key
 ``--jobs N`` workers cooperate and readers never observe a partial
 file (the same discipline as the experiment result cache).
 
-Capture stops *in front of* a halt instruction (``hit_halt``), which is
-the timing core's convention; :meth:`WarmState.executed` then counts
-only the instructions actually executed.  The functional simulator's
-``restore`` places the PC on the halt so its next step executes it,
-exactly like a cold ``skip`` would.
+:func:`capture` is the one warm-up in the tree: ``OutOfOrderCore.skip``
+restores what it returns, and so do the experiment runner and
+``repro-sim`` through the store.  It stops *in front of* a halt
+instruction (``hit_halt``), which is the timing core's convention;
+:attr:`WarmState.executed` then counts only the instructions actually
+executed.  The functional simulator's ``restore`` places the PC on the
+halt so its next step executes it, exactly like stepping from reset
+would.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from typing import Dict, List, Optional
 
 from ..isa.program import Program
 from ..util.locking import FileLock, atomic_write_bytes
-from .compiled import HALT, CompiledProgram
-from .ffexec import FF_BAD_PC, FF_HALT, run_ff
+from .compiled import FFFn, compile_ff
 from .memory import PAGE_SIZE, Memory
 from .simulator import ArchState, SimulationError
 
@@ -87,18 +89,34 @@ class WarmState:
 def capture(program: Program, skip: int) -> WarmState:
     """Execute the warm-up functionally and snapshot the resulting state.
 
-    Stops in front of a halt instruction (the timing core's skip
-    convention); consumers that must *execute* the halt — the functional
-    simulator — do so on their first post-restore step.
+    Drives the :func:`~repro.functional.compiled.compile_ff` closures,
+    built once per reached PC, and stops in front of a halt instruction
+    (the timing core's skip convention); consumers that must *execute*
+    the halt — the functional simulator — do so on their first
+    post-restore step.
     """
     state = ArchState(program)
-    ff_entry = CompiledProgram(program).ff_entry
-    pc, executed, status = run_ff(
-        ff_entry, HALT, state, state.pc, skip, False)
-    if status == FF_BAD_PC:
-        raise SimulationError(f"warm-up ran off program at {pc:#x}")
+    closures: Dict[int, Optional[FFFn]] = {}  # None: a halt
+    pc = state.pc
+    executed = 0
+    hit_halt = False
+    while executed < skip:
+        try:
+            ff = closures[pc]
+        except KeyError:
+            inst = program.fetch(pc)
+            if inst is None:
+                raise SimulationError(
+                    f"warm-up ran off program at {pc:#x}") from None
+            ff = closures[pc] = (None if inst.opcode.is_halt
+                                 else compile_ff(inst))
+        if ff is None:
+            hit_halt = True
+            break
+        pc = ff(state)
+        executed += 1
     return WarmState(list(state.regs), state.memory.snapshot_pages(),
-                     pc, executed, skip, status == FF_HALT)
+                     pc, executed, skip, hit_halt)
 
 
 def serialize(warm: WarmState) -> bytes:
@@ -170,8 +188,9 @@ class CheckpointStore:
         self.root = Path(root) if root is not None else None
         self._memo: Dict[str, WarmState] = {}
         # Where the most recent get() found its state ("memo" / "disk" /
-        # "captured"); recorded in run manifests as warm-up provenance.
-        self.last_source: Optional[str] = None
+        # "captured"; "" before the first); recorded in run manifests as
+        # warm-up provenance.
+        self.last_source = ""
 
     def get(self, program: Program, skip: int) -> WarmState:
         """The warm state for (program, skip): memoized, loaded, or

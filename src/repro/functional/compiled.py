@@ -12,31 +12,32 @@ with no dispatch, no attribute chains and no dead branches.
 Two closure flavours exist, because the two consumers need different
 amounts of observation:
 
-* :func:`compile_exec` — ``closure(state) -> ExecOutcome``, a drop-in
-  replacement for ``execute``: identical state mutations *and* an
-  identical outcome record (the reuse buffer, value predictor and
-  commit-time verifier all consume those fields, so they are pinned by
-  the golden corpus and the differential tests);
+* :func:`compile_exec` — ``closure(state) -> ExecOutcome``: the state
+  mutations of ``execute`` *and* a field-identical outcome record (the
+  reuse buffer, value predictor and commit-time verifier all consume
+  those fields, so they are pinned by the golden corpus and the
+  differential tests).  The timing core runs it at dispatch and
+  ``FunctionalSimulator.step`` runs it for every instruction;
 * :func:`compile_ff` — ``closure(state) -> next_pc``, the fast-forward
-  flavour used by warm-up skips: the same state mutations with no
+  flavour that :func:`repro.functional.checkpoint.capture`, the one
+  warm-up, drives: the same state mutations with no
   :class:`ExecOutcome` allocation at all.  Warm-up dominates the limit
-  studies (the paper skips billions of instructions; see ISSUE/PAPER
-  methodology), so this path is allocation-free by design.
+  studies (the paper skips billions of instructions), so this path is
+  allocation-free by design.
 
 Closures target the two built-in state classes (``ArchState`` and the
 timing core's ``SpeculativeState``): both expose ``regs`` as a plain
 list and ``memory`` as a :class:`~repro.functional.memory.Memory`.
 Memory *writes* go through ``state.write_mem`` so the speculative
-state's undo journal keeps working; duck-typed ``StateProtocol`` states
-must keep using the interpreted ``execute``.
+state's undo journal keeps working.
 
-``tests/functional/test_compiled.py`` pins the equivalence with a
-Hypothesis differential test over random programs.
+``tests/functional/test_compiled.py`` pins both flavours against
+``execute`` with a Hypothesis differential test over random programs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable
 
 from ..isa.instruction import (
     Instruction,
@@ -54,13 +55,7 @@ from ..isa.opcodes import (
     div_hi_lo,
     mult_hi_lo,
 )
-from ..isa.program import Program
 from .simulator import ExecOutcome
-
-#: Sentinel returned by :meth:`CompiledProgram.ff_entry` for halt
-#: instructions: callers decide whether the halt is executed (functional
-#: run) or fetched by the timing front end (core warm-up skip).
-HALT = object()
 
 ExecFn = Callable[[object], ExecOutcome]
 FFFn = Callable[[object], int]
@@ -224,10 +219,8 @@ def compile_exec(inst: Instruction) -> ExecFn:
 def compile_ff(inst: Instruction) -> FFFn:
     """Build the fast-forward closure: same mutations, returns next PC.
 
-    Must not be called for halt instructions (the drivers stop at
-    :data:`HALT` instead — whether the halt itself counts as executed is
-    the caller's convention, see ``FunctionalSimulator.run`` vs
-    ``OutOfOrderCore.skip``).
+    Halt has no fast-forward closure: ``capture`` stops in front of it
+    and leaves it for the consumer's own front end to execute.
     """
     op = inst.opcode
     kind = inst.exec_kind
@@ -332,40 +325,3 @@ def compile_ff(inst: Instruction) -> FFFn:
             return next_pc
     return ff
 
-
-class CompiledProgram:
-    """Lazy PC -> compiled-closure tables over one program.
-
-    Mirrors :class:`~repro.uarch.decode.DecodeTable`'s laziness: only PCs
-    that are actually reached are ever compiled, and invalid PCs
-    (``.space`` gaps, addresses off the program) return ``None``.
-    """
-
-    __slots__ = ("program", "_exec", "_ff")
-
-    def __init__(self, program: Program):
-        self.program = program
-        self._exec: Dict[int, Tuple[ExecFn, bool]] = {}
-        self._ff: Dict[int, object] = {}
-
-    def exec_entry(self, pc: int) -> Optional[Tuple[ExecFn, bool]]:
-        """``(closure, is_halt)`` for *pc*, or ``None`` for a bad PC."""
-        entry = self._exec.get(pc)
-        if entry is None:
-            inst = self.program.fetch(pc)
-            if inst is None:
-                return None
-            entry = (compile_exec(inst), inst.opcode.is_halt)
-            self._exec[pc] = entry
-        return entry
-
-    def ff_entry(self, pc: int):
-        """Fast-forward closure for *pc*, :data:`HALT`, or ``None``."""
-        entry = self._ff.get(pc)
-        if entry is None:
-            inst = self.program.fetch(pc)
-            if inst is None:
-                return None
-            entry = HALT if inst.opcode.is_halt else compile_ff(inst)
-            self._ff[pc] = entry
-        return entry

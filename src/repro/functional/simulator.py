@@ -1,17 +1,18 @@
-"""In-order functional simulator and shared execution semantics.
+"""In-order functional simulator and the reference execution semantics.
 
-The function :func:`execute` is the single place in the codebase where
-instruction semantics are applied to a machine state.  The functional
-simulator drives it against architectural state; the out-of-order timing
-core drives it against speculative (checkpointed) state at dispatch, which
-is the same structure SimpleScalar's ``sim-outorder`` uses and is what lets
-the timing model run wrong paths with real data values.
+:func:`execute` interprets one instruction against a machine state.  It
+is the reference the decode-time closures of
+:mod:`repro.functional.compiled` are tested against; those closures are
+what actually run: the functional simulator steps them against
+architectural state, and the out-of-order timing core runs them against
+speculative (checkpointed) state at dispatch, which is the same structure
+SimpleScalar's ``sim-outorder`` uses and is what lets the timing model
+run wrong paths with real data values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..isa.instruction import (
     Instruction,
@@ -32,7 +33,6 @@ from ..isa.opcodes import (
     u32,
 )
 from ..isa.program import Program, STACK_TOP
-from .ffexec import FF_BAD_PC, FF_HALT, FF_UNBOUNDED, run_ff
 from .memory import Memory
 
 
@@ -75,15 +75,6 @@ class ExecOutcome:
         return self.inst.pc
 
 
-class StateProtocol:
-    """Duck-typed interface :func:`execute` needs (documentation only)."""
-
-    def read_reg(self, reg: int) -> int: ...
-    def write_reg(self, reg: int, value: int) -> None: ...
-    def read_mem(self, address: int, nbytes: int, signed: bool) -> int: ...
-    def write_mem(self, address: int, value: int, nbytes: int) -> None: ...
-
-
 def execute(inst: Instruction, state) -> ExecOutcome:
     """Apply *inst* to *state* and return the full outcome record.
 
@@ -92,15 +83,9 @@ def execute(inst: Instruction, state) -> ExecOutcome:
     """
     op = inst.opcode
     b_reg = inst.b_reg
-    try:  # both built-in states expose the register list directly
-        regs = state.regs
-    except AttributeError:  # duck-typed state (StateProtocol)
-        read_reg = state.read_reg
-        a = read_reg(inst.a_reg)
-        b = read_reg(b_reg) if b_reg >= 0 else 0
-    else:
-        a = regs[inst.a_reg]
-        b = regs[b_reg] if b_reg >= 0 else 0
+    regs = state.regs
+    a = regs[inst.a_reg]
+    b = regs[b_reg] if b_reg >= 0 else 0
     outcome = ExecOutcome(inst, a, b, inst.next_pc)
     kind = inst.exec_kind
 
@@ -175,28 +160,20 @@ class ArchState:
 class FunctionalSimulator:
     """Executes a program one instruction at a time, in program order.
 
-    Used directly for the limit studies (Figures 8-10), for fast-forwarding
-    past initialisation (the paper skips 1-2.5 billion instructions), and as
-    the ground truth in differential tests of the timing core.
+    Used directly for the limit studies (Figures 8-10) and as the ground
+    truth the timing core's commits are verified against.  Both start
+    from a :func:`repro.functional.checkpoint.capture` warm state (see
+    :meth:`restore`) rather than stepping through the paper's 1-2.5
+    billion-instruction warm-up.
     """
 
-    def __init__(self, program: Program, compiled: bool = True):
+    def __init__(self, program: Program):
         self.program = program
         self.state = ArchState(program)
         self.halted = False
         self.instructions_retired = 0
-        # Decode-time compiled closures (see repro.functional.compiled);
-        # pass compiled=False for the reference interpreted stepper the
-        # differential tests compare against.  Imported lazily: compiled
-        # itself imports ExecOutcome from this module.
-        if compiled:
-            from .compiled import CompiledProgram, HALT
-            self._compiled: Optional["CompiledProgram"] = \
-                CompiledProgram(program)
-            self._halt_sentinel = HALT
-        else:
-            self._compiled = None
-            self._halt_sentinel = None
+        # pc -> (compile_exec closure, is_halt), built on first reach.
+        self._closures: Dict[int, Tuple[Callable[..., ExecOutcome], bool]] = {}
 
     @property
     def pc(self) -> int:
@@ -207,60 +184,27 @@ class FunctionalSimulator:
         if self.halted:
             raise SimulationError("stepping a halted simulator")
         state = self.state
-        if self._compiled is not None:
-            entry = self._compiled.exec_entry(state.pc)
-            if entry is None:
-                raise SimulationError(f"no instruction at pc={state.pc:#x}")
-            fn, is_halt = entry
-            outcome = fn(state)
-            if is_halt:
-                self.halted = True
-                outcome.next_pc = outcome.inst.pc
-        else:
+        entry = self._closures.get(state.pc)
+        if entry is None:
             inst = self.program.fetch(state.pc)
             if inst is None:
                 raise SimulationError(f"no instruction at pc={state.pc:#x}")
-            outcome = execute(inst, state)
-            if inst.opcode.is_halt:
-                self.halted = True
-                outcome.next_pc = inst.pc
+            # Imported here: compiled imports ExecOutcome from this module.
+            from .compiled import compile_exec
+            entry = self._closures[state.pc] = (compile_exec(inst),
+                                                inst.opcode.is_halt)
+        closure, is_halt = entry
+        outcome = closure(state)
+        if is_halt:
+            self.halted = True
+            outcome.next_pc = outcome.inst.pc
         state.pc = outcome.next_pc
         self.instructions_retired += 1
         return outcome
 
     def run(self, max_instructions: Optional[int] = None) -> int:
         """Run until halt or *max_instructions*; returns instructions run."""
-        if self._compiled is None:
-            executed = 0
-            while not self.halted:
-                if max_instructions is not None \
-                        and executed >= max_instructions:
-                    break
-                self.step()
-                executed += 1
-            return executed
-        # Compiled fast-forward lane: no ExecOutcome allocation at all.
-        # State mutations are identical to the interpreted loop (pinned
-        # by tests/functional/test_compiled.py); like step(), an executed
-        # halt counts and leaves the PC on the halt instruction.  The
-        # loop itself is the run_ff driver (shared with core.skip and
-        # checkpoint.capture).
-        if self.halted:
-            return 0
-        state = self.state
-        budget = (FF_UNBOUNDED if max_instructions is None
-                  else max_instructions)
-        pc, executed, status = run_ff(
-            self._compiled.ff_entry, self._halt_sentinel, state,
-            state.pc, budget, True)
-        # Keep state coherent even on a bad-PC error.
-        state.pc = pc
-        self.instructions_retired += executed
-        if status == FF_BAD_PC:
-            raise SimulationError(f"no instruction at pc={pc:#x}")
-        if status == FF_HALT:
-            self.halted = True
-        return executed
+        return sum(1 for _ in self.stream(max_instructions))
 
     def restore(self, warm) -> None:
         """Adopt a captured warm state (see ``functional.checkpoint``).
@@ -269,7 +213,7 @@ class FunctionalSimulator:
         executed ``warm.executed`` instructions from reset: the PC sits on
         the next unexecuted instruction (the halt itself when the warm-up
         stopped in front of one), so a following :meth:`run`/:meth:`skip`
-        continues exactly like the cold run would.
+        continues exactly like a run from reset would.
         """
         state = self.state
         state.regs = list(warm.regs)
@@ -289,5 +233,6 @@ class FunctionalSimulator:
             executed += 1
 
     def skip(self, count: int) -> int:
-        """Fast-forward *count* instructions (the paper's warm-up skip)."""
+        """Step *count* instructions (or to the halt); long warm-ups
+        restore a ``checkpoint.capture`` state instead."""
         return self.run(max_instructions=count)

@@ -56,7 +56,6 @@ class SimStats:
     ir_tests: int = 0
     ir_result_reused: int = 0  # committed insts whose result was reused
     ir_addr_reused: int = 0  # committed memory ops with address reuse
-    ir_insertions: int = 0
 
     # Caches.
     icache_misses: int = 0

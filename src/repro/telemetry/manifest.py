@@ -40,8 +40,8 @@ from ..util.serial import canonical_dumps
 MANIFEST_FORMAT = "repro-manifest-v1"
 
 #: The phases of one simulated job, in execution order: ``decode``
-#: (program assembly), ``warm-restore`` (checkpoint restore or
-#: functional fast-forward), ``simulate`` (the timing run) and
+#: (program assembly), ``warm-restore`` (checkpoint restore, with the
+#: functional warm-up on a store miss), ``simulate`` (the timing run) and
 #: ``cache-write`` (the canonical result write).
 PHASE_ORDER = ("decode", "warm-restore", "simulate", "cache-write")
 
@@ -148,8 +148,7 @@ def run_manifest(*, cache_key: str, workload: str, config,
         "cache_hit": cache_hit,
         # Where the warm-up came from: "captured" (executed here),
         # "disk" (restored from the store), "memo" (already in this
-        # process), "cached" (no simulation: the run was a cache hit)
-        # or "disabled".
+        # process) or "cached" (no simulation: the run was a cache hit).
         "checkpoint": checkpoint,
         "wallclock_seconds": (round(wallclock_seconds, 3)
                               if wallclock_seconds is not None else None),

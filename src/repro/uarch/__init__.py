@@ -10,7 +10,6 @@ from .config import (
     PredictorKind,
     ReexecPolicy,
     VPConfig,
-    all_vp_configs,
     base_config,
     ir_config,
     vp_config,
@@ -27,7 +26,6 @@ __all__ = [
     "PredictorKind",
     "ReexecPolicy",
     "VPConfig",
-    "all_vp_configs",
     "base_config",
     "ir_config",
     "vp_config",

@@ -268,22 +268,3 @@ def hybrid_config(kind: PredictorKind = PredictorKind.MAGIC,
         **overrides,
     )
 
-
-def all_vp_configs(kind: Optional[PredictorKind] = None,
-                   verify_latency: int = 0) -> "list[MachineConfig]":
-    """The four ME/NME x SB/NSB configurations of Section 4.1.4.
-
-    With ``kind=None``, enumerates the matrix for **every**
-    :class:`PredictorKind` member — the predictor-zoo sweep.  Iterating
-    the enum itself (not a hand-maintained list) is what guarantees a
-    newly added kind cannot silently miss the sweeps; the coverage test
-    in ``tests/uarch/test_config.py`` pins this.
-    """
-    kinds = list(PredictorKind) if kind is None else [kind]
-    return [
-        vp_config(one_kind, reexec, branches, verify_latency)
-        for one_kind in kinds
-        for reexec in (ReexecPolicy.MULTIPLE, ReexecPolicy.SINGLE)
-        for branches in (BranchPolicy.SPECULATIVE,
-                         BranchPolicy.NON_SPECULATIVE)
-    ]

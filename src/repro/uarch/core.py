@@ -41,8 +41,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..functional.compiled import CompiledProgram, HALT
-from ..functional.ffexec import FF_BAD_PC, run_ff
+from ..functional.checkpoint import capture
 from ..functional.simulator import FunctionalSimulator, SimulationError
 from ..isa.opcodes import (
     NUM_REGS,
@@ -184,35 +183,23 @@ class OutOfOrderCore:
     def skip(self, instructions: int) -> None:
         """Functionally fast-forward before timing simulation starts.
 
-        Mirrors the paper's warm-up skip (1-2.5 billion instructions there).
-        Must be called before the first :meth:`step`.
+        Mirrors the paper's warm-up skip (1-2.5 billion instructions
+        there) and must be called before the first :meth:`step`.  Sweeps
+        share the warm state through the checkpoint store instead; this
+        captures a private one.
         """
-        if self.cycle or self.rob:
-            raise SimulationError("skip() must precede timing simulation")
-        # Fast-forward closures mutate the speculative state exactly like
-        # the interpreted loop did, but with no ExecOutcome allocation;
-        # like before, the halt is left unexecuted for the front end.
-        compiled = CompiledProgram(self.program)
-        pc, executed, status = run_ff(
-            compiled.ff_entry, HALT, self.spec,
-            self.program.entry_point, instructions, False)
-        if status == FF_BAD_PC:
-            raise SimulationError(f"skip ran off program at {pc:#x}")
-        self.fetch_unit.fetch_pc = pc
-        if self.oracle is not None:
-            self.oracle.skip(executed)
+        self.restore_warm(capture(self.program, instructions))
 
     def restore_warm(self, warm) -> None:
-        """Adopt a warm-state checkpoint in place of :meth:`skip`.
+        """Adopt a warm state; must precede the first :meth:`step`.
 
         *warm* must come from :func:`repro.functional.checkpoint.capture`
         over the same program with the intended skip count (the store's
-        content addressing guarantees this).  Afterwards the core is
-        indistinguishable from one that just ran ``skip(warm.skip)``
-        cold: speculative state holds the warm image, fetch starts at the
-        first unexecuted instruction (the halt itself when the warm-up
-        ran into one — the front end dispatches it, exactly like the
-        cold path), and the commit-verify oracle sits at the same point.
+        content addressing guarantees this).  Afterwards speculative state
+        holds the warm image, fetch starts at the first unexecuted
+        instruction (the halt itself when the warm-up ran into one, which
+        the front end then dispatches), and the commit-verify oracle sits
+        at the same point.
         """
         if self.cycle or self.rob:
             raise SimulationError(

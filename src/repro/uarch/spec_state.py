@@ -43,7 +43,7 @@ class SpeculativeState:
         # predicted branch.
         self._cp_pool: List[Checkpoint] = []
 
-    # -- StateProtocol (used by repro.functional.simulator.execute) --------------
+    # -- register and memory access (execute() and the compiled closures) --------
 
     def read_reg(self, reg: int) -> int:
         return self.regs[reg]

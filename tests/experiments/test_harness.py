@@ -167,7 +167,7 @@ class RecordingRunner(ExperimentRunner):
     STATS = SimStats(cycles=1_000, committed=800)
 
     def __init__(self):
-        super().__init__(quiet=True, use_checkpoints=False)
+        super().__init__(quiet=True)
         self.read = set()
 
     def run(self, workload, config):

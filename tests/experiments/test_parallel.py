@@ -158,15 +158,28 @@ class TestCheckpointStoreConcurrency:
             assert ours.read_bytes() == theirs.read_bytes(), \
                 f"checkpoint {ours.name} differs between serial and parallel"
 
-    def test_checkpoints_disabled_produces_identical_cache(self, tmp_path):
-        warm = make_runner(tmp_path / "warm", jobs=1).run_many(sweep_pairs())
-        cold = make_runner(tmp_path / "cold", jobs=1,
-                           use_checkpoints=False).run_many(sweep_pairs())
-        assert not self._warm_files(tmp_path / "cold")
-        assert set(warm) == set(cold)
-        for key in warm:
-            diff = warm[key].diff(cold[key])
-            assert not diff, f"{key} diverged with checkpoints off: {diff}"
+    def test_store_restored_sweep_matches_in_process_skip(self, tmp_path):
+        """Every warm-up of this sweep is read from the on-disk store;
+        each cell must equal a core warmed in-process by ``skip``."""
+        from repro.functional.checkpoint import CheckpointStore
+        from repro.uarch.core import OutOfOrderCore
+        store = CheckpointStore(tmp_path / "checkpoints")
+        for name in workload_names():
+            spec = get_workload(name)
+            store.get(spec.program(), spec.skip_instructions)
+        restored = make_runner(tmp_path, jobs=2).run_many(sweep_pairs())
+        sources = {json.loads(path.read_text())["checkpoint"]
+                   for path in (tmp_path / "manifests").glob("v*.json")}
+        assert sources <= {"disk", "memo"}, sources
+        for name, config in sweep_pairs():
+            spec = get_workload(name)
+            core = OutOfOrderCore(config, spec.program())
+            core.stats.workload_name = name
+            core.skip(spec.skip_instructions)
+            stats = core.run(max_cycles=MAX_CYCLES,
+                             max_instructions=INSTRUCTIONS)
+            diff = restored[(name, config.name)].diff(stats)
+            assert not diff, f"{name}/{config.name} diverged: {diff}"
 
     def test_populated_store_is_reused_not_rewritten(self, tmp_path):
         make_runner(tmp_path, jobs=2).run_many(sweep_pairs())

@@ -1,18 +1,19 @@
-"""Differential tests: compiled closures vs the interpreted stepper.
+"""Differential tests: both closure families against ``execute()``.
 
-``repro.functional.compiled`` replaces the generic ``execute`` dispatch
-with per-static-instruction closures built at decode time; these tests
-pin the *exact* equivalence the golden corpus and every checkpoint rely
-on, over random — terminating-by-construction — programs:
+``execute()`` is the reference semantics; what actually runs are the
+per-static-instruction closures of ``repro.functional.compiled``.  These
+tests pin the *exact* equivalence the golden corpus and every
+checkpoint rely on, over random (terminating-by-construction)
+programs, against an interpreted loop of ``execute()`` on an
+``ArchState``:
 
-* lockstep stepping: identical :class:`ExecOutcome` observable fields
-  and identical architectural state (registers, memory, PC, halt flag)
-  after **every** committed instruction;
-* the outcome-free fast-forward lane (``run``): identical final state
-  and retired-instruction count as the interpreted run, including when
-  the budget lands exactly on, before, or after the halt;
-* the ``run_ff`` driver behind that lane reports the right
-  (pc, executed, status) triple for each way a run can stop.
+* lockstep stepping: ``FunctionalSimulator.step()`` runs the
+  ``compile_exec`` closures and must give identical ``ExecOutcome``
+  fields and identical registers, memory and PC after **every**
+  instruction;
+* the warm-up: ``checkpoint.capture`` drives the ``compile_ff``
+  closures and must reach the same state, executed count and halt flag
+  when the budget lands before, on or after the halt.
 """
 
 import pytest
@@ -20,14 +21,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import assemble
-from repro.functional import ffexec
-from repro.functional.compiled import CompiledProgram, HALT
+from repro.functional.checkpoint import capture
 from repro.functional.simulator import (
     ArchState,
     FunctionalSimulator,
     SimulationError,
+    execute,
 )
+from repro.isa import assemble
 from repro.workloads.random_program import random_program
 
 MAX_STEPS = 100_000  # far above any generated program's runtime
@@ -36,32 +37,53 @@ OUTCOME_FIELDS = ("operand_a", "operand_b", "next_pc", "result",
                   "result_hi", "writes", "mem_addr", "mem_value", "taken")
 
 
-def _state_fingerprint(sim):
-    memory = sim.state.memory
-    pages = {number: bytes(page)
-             for number, page in memory.snapshot_pages().items()
-             if any(page)}  # all-zero pages read identically to absent ones
-    return (sim.state.regs, sim.state.pc, sim.halted,
-            sim.instructions_retired, pages)
+def reference_step(program, state):
+    """Interpret the instruction at ``state.pc`` with ``execute()``."""
+    inst = program.fetch(state.pc)
+    outcome = execute(inst, state)
+    if inst.opcode.is_halt:
+        outcome.next_pc = inst.pc  # an executed halt parks on itself
+    state.pc = outcome.next_pc
+    return outcome
+
+
+def instructions_before_halt(program):
+    state = ArchState(program)
+    for count in range(MAX_STEPS):
+        if program.fetch(state.pc).opcode.is_halt:
+            return count
+        reference_step(program, state)
+    raise AssertionError("generated program did not terminate")
+
+
+def nonzero_pages(pages):
+    # All-zero pages read identically to absent ones.
+    return {number: bytes(page) for number, page in pages.items()
+            if any(page)}
+
+
+def machine(state):
+    return (state.regs, state.pc,
+            nonzero_pages(state.memory.snapshot_pages()))
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=25, deadline=None)
 def test_lockstep_differential(seed):
     program = assemble(random_program(seed, size=50))
-    interp = FunctionalSimulator(program, compiled=False)
-    compiled = FunctionalSimulator(program, compiled=True)
-    for _ in range(MAX_STEPS):
-        if interp.halted:
-            break
-        want = interp.step()
-        got = compiled.step()
+    state = ArchState(program)
+    sim = FunctionalSimulator(program)
+    for count in range(1, MAX_STEPS + 1):
+        want = reference_step(program, state)
+        got = sim.step()
         assert got.inst is want.inst
         for field in OUTCOME_FIELDS:
             assert getattr(got, field) == getattr(want, field), field
-        assert _state_fingerprint(compiled) == _state_fingerprint(interp)
-    assert interp.halted, "generated program did not terminate"
-    assert compiled.halted
+        assert machine(sim.state) == machine(state)
+        assert sim.instructions_retired == count
+        if want.inst.opcode.is_halt:
+            break
+    assert sim.halted, "generated program did not terminate"
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9),
@@ -69,64 +91,31 @@ def test_lockstep_differential(seed):
 @settings(max_examples=25, deadline=None)
 def test_fast_forward_differential(seed, budget_offset):
     program = assemble(random_program(seed, size=50))
-    length = FunctionalSimulator(program, compiled=False).run(MAX_STEPS)
-    budget = max(0, length + budget_offset)
+    before_halt = instructions_before_halt(program)
+    budget = max(0, before_halt + budget_offset)
 
-    interp = FunctionalSimulator(program, compiled=False)
-    compiled = FunctionalSimulator(program, compiled=True)
-    assert interp.run(budget) == compiled.run(budget)
-    assert _state_fingerprint(compiled) == _state_fingerprint(interp)
+    state = ArchState(program)
+    executed = min(budget, before_halt)
+    for _ in range(executed):
+        reference_step(program, state)
+
+    warm = capture(program, budget)
+    assert (warm.executed, warm.pc, warm.hit_halt) \
+        == (executed, state.pc, budget > before_halt)
+    assert warm.regs == state.regs
+    assert nonzero_pages(warm.pages) \
+        == nonzero_pages(state.memory.snapshot_pages())
 
 
 def test_bad_pc_raises_in_both_lanes():
-    # Both the compiled fast-forward lane and the interpreted stepper
-    # must fail identically on a PC with no instruction.
+    # Stepping and running (compile_exec) and capturing (compile_ff)
+    # all fail on a PC with no instruction.
     program = assemble("main:\n        halt\n")
-    bad_pc = program.end_pc()
-    for compiled in (False, True):
-        sim = FunctionalSimulator(program, compiled=compiled)
-        sim.state.pc = bad_pc
+    for drive in (FunctionalSimulator.step,
+                  lambda sim: sim.run(10)):
+        sim = FunctionalSimulator(program)
+        sim.state.pc = program.end_pc()
         with pytest.raises(SimulationError):
-            sim.run(10)
-        sim = FunctionalSimulator(program, compiled=compiled)
-        sim.state.pc = bad_pc
-        with pytest.raises(SimulationError):
-            sim.step()
-
-
-def test_run_ff_statuses_and_state():
-    program = assemble("""
-    main: li $t0, 3
-    loop: addi $t0, $t0, -1
-          bnez $t0, loop
-          halt
-    """)
-    compiled = CompiledProgram(program)
-
-    # Budget exhausted strictly before the halt.
-    state = ArchState(program)
-    pc, executed, status = ffexec.run_ff(
-        compiled.ff_entry, HALT, state, state.pc, 2, False)
-    assert (executed, status) == (2, ffexec.FF_BUDGET)
-
-    # Run into the halt; the PC parks on it either way, and
-    # execute_halt picks the caller's counting convention.
-    state = ArchState(program)
-    pc, executed, status = ffexec.run_ff(
-        compiled.ff_entry, HALT, state, state.pc,
-        ffexec.FF_UNBOUNDED, False)
-    assert status == ffexec.FF_HALT
-    assert executed == 7  # li + 3x(addi, bnez)
-    halt_pc = pc
-    state = ArchState(program)
-    pc2, executed2, status2 = ffexec.run_ff(
-        compiled.ff_entry, HALT, state, state.pc,
-        ffexec.FF_UNBOUNDED, True)
-    assert (pc2, executed2, status2) == (halt_pc, 8, ffexec.FF_HALT)
-
-    # A PC with no instruction reports FF_BAD_PC (raising is the
-    # caller's job).
-    state = ArchState(program)
-    pc3, executed3, status3 = ffexec.run_ff(
-        lambda _pc: None, HALT, state, state.pc, 5, False)
-    assert (executed3, status3) == (0, ffexec.FF_BAD_PC)
+            drive(sim)
+    with pytest.raises(SimulationError, match="ran off program"):
+        capture(assemble("main:\n        nop\n"), 10)

@@ -107,3 +107,19 @@ class TestMain:
             main(["--workload", "gen-bogus"])
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["--workload", "spice"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "compress", "--variant", "bogus"],
+         "'compress' has no input variant 'bogus'"),
+        (["--workload", "gen-s7-n48-t120-r800-b150", "--variant", "train"],
+         "has no input variant 'train'"),
+        (["{missing}"], "cannot read .*missing.s: No such file"),
+        (["{bad}"], "bad.s: line 1: unknown mnemonic 'bogus'"),
+    ], ids=["variant", "generated-variant", "missing-file", "bad-assembly"])
+    def test_bad_input_exits_with_message(self, tmp_path, argv, message):
+        bad = tmp_path / "bad.s"
+        bad.write_text("main: bogus $t0\n")
+        argv = [arg.format(missing=tmp_path / "missing.s", bad=bad)
+                for arg in argv]
+        with pytest.raises(SystemExit, match=message):
+            main(argv)

@@ -10,7 +10,8 @@ import dataclasses
 import pytest
 
 from repro.isa import assemble
-from repro.uarch.config import CacheConfig, MachineConfig, base_config
+from repro.uarch.config import (CacheConfig, MachineConfig, base_config,
+                                 ir_config)
 from repro.uarch.core import OutOfOrderCore
 
 
@@ -269,3 +270,30 @@ class TestStructuralLimits:
         source = f"main: {hops}\nl32: halt"
         _, stats = run_core(source)
         assert stats.cycles >= 32
+
+
+COUNTDOWN = """
+main:   li $t0, 3
+loop:   addi $t0, $t0, -1
+        bnez $t0, loop
+        halt
+"""
+
+
+class TestWarmUp:
+    @pytest.mark.parametrize("config", [base_config(), ir_config()],
+                             ids=lambda config: config.name)
+    @pytest.mark.parametrize("skip, committed",
+                             [(0, 8), (3, 5), (7, 1), (8, 1), (50, 1)])
+    def test_skip_places_core_and_oracle_together(self, config, skip,
+                                                  committed):
+        """``skip`` restores the commit oracle with the core: every
+        later commit verifies, a skip that runs into the halt leaves
+        the halt to commit, and both end halted with all 8 retired."""
+        config = dataclasses.replace(config, verify_commits=True)
+        core = OutOfOrderCore(config, assemble(COUNTDOWN))
+        core.skip(skip)
+        stats = core.run(max_cycles=10_000)
+        assert stats.halted and core.oracle.halted
+        assert stats.committed == committed
+        assert core.oracle.instructions_retired == 8
