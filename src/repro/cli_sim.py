@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .functional.checkpoint import CheckpointStore
+from .functional.simulator import SimulationError
 from .isa import AssemblyError, assemble
 from .metrics.breakdown import ClassBreakdown
 from .uarch.config import (
@@ -85,9 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--telemetry-out", type=Path, default=None,
                         metavar="FILE",
                         help="write an interval time-series per config "
-                             "(.jsonl or .csv by suffix; multiple "
-                             "configs insert the config name before "
-                             "the suffix)")
+                             "(JSONL; multiple configs insert the config "
+                             "name before the suffix)")
     parser.add_argument("--telemetry-interval", type=int, default=None,
                         metavar="CYCLES",
                         help="sampling period of --telemetry-out "
@@ -197,9 +197,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 interval=args.telemetry_interval,
                 trace_capacity=args.trace_buffer,
                 events=args.trace_out is not None)
-        core.restore_warm(checkpoints.get(program, skip))
-        stats = core.run(max_cycles=args.max_cycles,
-                         max_instructions=args.instructions)
+        try:
+            core.restore_warm(checkpoints.get(program, skip))
+            stats = core.run(max_cycles=args.max_cycles,
+                             max_instructions=args.instructions)
+        except SimulationError as exc:
+            raise SystemExit(f"{config.name}: {exc}")
         if base_cycles is None:
             base_cycles = stats.cycles
         print(f"{config.name:<22} {stats.cycles:>9} {stats.ipc:>6.2f} "

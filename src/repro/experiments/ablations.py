@@ -22,19 +22,17 @@ from typing import Iterable, List
 
 from ..metrics.report import Report
 from ..metrics.stats import harmonic_mean, speedup
-from ..uarch.config import (
-    IRConfig,
-    PredictorKind,
-    VPConfig,
-    hybrid_config,
-    ir_config,
-    vp_config,
-)
+from ..uarch.config import PredictorKind, hybrid_config, ir_config, vp_config
 from ..workloads import all_workloads
-from .configs import BASE
+from .configs import BASE, IR_EARLY
 from .runner import ExperimentRunner, Pair
 
 _DEFAULT_WORKLOADS = ("go", "m88ksim", "perl", "compress")
+
+#: S_n: the reuse scheme without dependence-pointer chaining.
+NO_CHAIN = dataclasses.replace(
+    IR_EARLY, name="reuse-n",
+    ir=dataclasses.replace(IR_EARLY.ir, dependence_chaining=False))
 
 
 def predictors(runner: ExperimentRunner,
@@ -254,17 +252,12 @@ def chaining(runner: ExperimentRunner,
         headers=["bench", "S_n speedup", "S_n+d speedup",
                  "S_n reuse %", "S_n+d reuse %"],
     )
-    no_chain_config = ir_config()
-    no_chain_config = dataclasses.replace(
-        no_chain_config, name="reuse-n",
-        ir=dataclasses.replace(no_chain_config.ir,
-                               dependence_chaining=False))
     runner.prefetch([(name, config) for name in workloads
-                     for config in (BASE, ir_config(), no_chain_config)])
+                     for config in (BASE, ir_config(), NO_CHAIN)])
     for name in workloads:
         base = runner.run(name, BASE)
         full = runner.run(name, ir_config())
-        no_chain = runner.run(name, no_chain_config)
+        no_chain = runner.run(name, NO_CHAIN)
         report.add_row(name,
                        speedup(no_chain, base), speedup(full, base),
                        100.0 * no_chain.ir_result_rate,
@@ -276,15 +269,10 @@ def pairs(workloads: Iterable[str] = _DEFAULT_WORKLOADS) -> List[Pair]:
     """Union of every sub-ablation's (workload, config) pairs, so a sweep
     can fan the whole suite out in one pool."""
     workloads = tuple(workloads)
-    no_chain_config = ir_config()
-    no_chain_config = dataclasses.replace(
-        no_chain_config, name="reuse-n",
-        ir=dataclasses.replace(no_chain_config.ir,
-                               dependence_chaining=False))
     # The VP-only cells predictors() and upper_bound() read.
     kinds = (PredictorKind.MAGIC, PredictorKind.LAST_VALUE,
              PredictorKind.STRIDE, PredictorKind.PERFECT)
-    configs = ([BASE, ir_config(), hybrid_config(), no_chain_config]
+    configs = ([BASE, ir_config(), hybrid_config(), NO_CHAIN]
                + [vp_config(kind) for kind in kinds]
                + _storage_configs((1, 4, 16))
                + _instance_configs((1, 2, 4))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..uarch.config import (
     BranchPolicy,
@@ -53,23 +53,6 @@ def short_vp_name(config: MachineConfig) -> str:
     return f"{config.vp.reexec_policy.value}-{config.vp.branch_policy.value}"
 
 
-def evaluation_configs(verify_latencies=(0, 1)) -> List[MachineConfig]:
-    """Every timing configuration the paper's tables/figures touch.
-
-    One deduplicated list (by config name) so a sweep can be handed to
-    :meth:`ExperimentRunner.run_many` in a single fan-out, and so the
-    determinism harness can cover the whole configuration space.
-    """
-    configs: List[MachineConfig] = [BASE, IR_EARLY, IR_LATE]
-    for kind in (PredictorKind.MAGIC, PredictorKind.LAST_VALUE):
-        for latency in verify_latencies:
-            configs.extend(vp_matrix(kind, latency))
-    unique: Dict[str, MachineConfig] = {}
-    for config in configs:
-        unique.setdefault(config.name, config)
-    return list(unique.values())
-
-
 #: The realistic predictor-zoo kinds (MAGIC and PERFECT are oracles).
 ZOO_KINDS = (PredictorKind.LAST_VALUE, PredictorKind.STRIDE,
              PredictorKind.FCM, PredictorKind.HYBRID_SELECT)
@@ -83,10 +66,3 @@ def zoo_configs() -> List[MachineConfig]:
     configs += [vp_config(kind) for kind in ZOO_KINDS]
     configs.append(vfr_config(PredictorKind.HYBRID_SELECT))
     return configs
-
-
-def sweep_pairs(workloads, verify_latencies=(0, 1)):
-    """(workload, config) pairs for a full-suite sweep, ready for
-    :meth:`ExperimentRunner.run_many`."""
-    return [(name, config) for name in workloads
-            for config in evaluation_configs(verify_latencies)]

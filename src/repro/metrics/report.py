@@ -238,7 +238,7 @@ def telemetry_dashboard(results_dir,
     telemetry_dir = Path(telemetry_dir)
     if telemetry_dir.is_dir():
         paths = sorted(p for p in telemetry_dir.iterdir()
-                       if p.suffix.lower() in (".jsonl", ".csv")
+                       if p.suffix.lower() == ".jsonl"
                        and ".trace." not in p.name)
         series_report = _timeseries_report(paths)
         if series_report is not None:

@@ -5,7 +5,7 @@ attaching any of them never changes a statistic), and one reader:
 
 * :mod:`repro.telemetry.interval` — columnar per-interval time-series
   (IPC, occupancies, capture/misprediction rates every N cycles),
-  serialized as versioned JSONL or CSV;
+  serialized as versioned JSONL;
 * :mod:`repro.telemetry.events` — a bounded ring buffer of typed event
   records from the core's dispatch/issue/complete/commit, VP and reuse
   paths, with a filterable ``repro-trace`` CLI;

@@ -41,10 +41,7 @@ EVENT_KINDS = (
     "reuse_miss",          # reuse test failed, with the reason
     "branch_resolve",      # control instruction resolved (maybe spurious)
     "squash",              # wrong-path instructions discarded
-    "checkpoint_restore",  # speculative state restored after a squash
 )
-
-_KIND_SET = frozenset(EVENT_KINDS)
 
 
 class TraceEvent:
@@ -145,10 +142,6 @@ class EventTrace:
         lines.extend(json.dumps(event.as_dict(), sort_keys=True)
                      for event in self.events)
         return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        from ..util.locking import atomic_write_text
-        atomic_write_text(path, self.dumps())
 
 
 def load_trace(path) -> "LoadedTrace":

@@ -12,16 +12,13 @@ kinds of quantity appear in a row:
   occupancy) — cheap and exact, because the core steps every cycle and
   the sink samples at the boundary cycle itself.
 
-Serialized either as versioned JSONL (header object + one array per
-row) or CSV (header row + numeric rows), chosen by file suffix;
-:func:`load_timeseries` reads both back.  The column set is part of the
+Serialized as versioned JSONL (header object + one array per row);
+:func:`load_timeseries` reads it back.  The column set is part of the
 format version: adding a column bumps :data:`INTERVAL_FORMAT`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -107,24 +104,13 @@ class IntervalSeries:
         lines.extend(json.dumps(row, sort_keys=True) for row in self.rows())
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows())
-        return buffer.getvalue()
-
     def write(self, path) -> None:
-        """Serialize by suffix: ``.csv`` is CSV, anything else JSONL."""
-        path = Path(path)
-        if path.suffix.lower() == ".csv":
-            atomic_write_text(path, self.to_csv())
-        else:
-            atomic_write_text(path, self.to_jsonl())
+        atomic_write_text(path, self.to_jsonl())
 
 
-def _from_jsonl(text: str, path) -> IntervalSeries:
-    lines = text.splitlines()
+def load_timeseries(path) -> IntervalSeries:
+    """Read a series written by :meth:`IntervalSeries.write`."""
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty time-series file")
     header = json.loads(lines[0])
@@ -142,28 +128,3 @@ def _from_jsonl(text: str, path) -> IntervalSeries:
         values = json.loads(line)
         series.append(dict(zip(series.columns, values)))
     return series
-
-
-def _from_csv(text: str, path) -> IntervalSeries:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        columns = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty time-series file") from None
-    series = IntervalSeries(interval=0, columns=columns)
-    for row in reader:
-        if not row:
-            continue
-        series.append({name: float(value)
-                       for name, value in zip(columns, row)})
-    return series
-
-
-def load_timeseries(path) -> IntervalSeries:
-    """Read a series written by :meth:`IntervalSeries.write` (either
-    format, chosen by suffix)."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
-        return _from_csv(text, path)
-    return _from_jsonl(text, path)

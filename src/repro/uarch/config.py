@@ -7,6 +7,11 @@ modelled: lookups are bounded only by the decode width, and updates and
 insertions not at all.  The named constructors at the bottom build every
 configuration the evaluation section simulates (base, IR early/late, the
 four VP configurations x two predictors x two verification latencies).
+
+A field is a Table 1 or Section 4.1 parameter, a structure size, or a
+setting an experiment or CLI varies; other fixed design points are
+constants of the module that reads them (``FCM_ORDER``,
+``VFR_LOW_CONF_WIDTH``).
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ class CacheConfig:
     associativity: int = 2
     line_bytes: int = 32
     miss_latency: int = 6
-    ports: int = 2  # D-cache is dual ported; the I-cache ignores this
 
     @property
     def num_sets(self) -> int:
@@ -99,12 +103,6 @@ class VPConfig:
     verify_latency: int = 0  # 0 or 1 cycle (Sec 4.1.4)
     branch_policy: BranchPolicy = BranchPolicy.SPECULATIVE
     reexec_policy: ReexecPolicy = ReexecPolicy.MULTIPLE
-    predict_addresses: bool = True
-    # Order of the finite-context-method predictor (PredictorKind.FCM
-    # and the FCM component of HYBRID_SELECT): how many recent values
-    # form the context hash.  Two is the classic Sazeides & Smith
-    # design point; kept configurable for sensitivity studies.
-    fcm_order: int = 2
 
     @property
     def max_confidence(self) -> int:
@@ -156,27 +154,23 @@ class MachineConfig:
     # Variable instruction fetch rate (arXiv 1707.04657): when enabled,
     # a low-confidence conditional-branch prediction ends the fetch
     # group, and the following cycle fetches at the reduced
-    # ``vfr_low_conf_width`` — modelling a frontend that throttles
+    # ``VFR_LOW_CONF_WIDTH`` — modelling a frontend that throttles
     # behind branches it does not trust instead of flooding the window
     # with likely-wrong-path work.  Timing-only: architectural results
     # are unchanged (the differential oracle covers this knob).
     variable_fetch_rate: bool = False
-    vfr_low_conf_width: int = 2
 
-    icache: CacheConfig = field(default_factory=lambda: CacheConfig(ports=1))
+    icache: CacheConfig = field(default_factory=CacheConfig)
     dcache: CacheConfig = field(default_factory=CacheConfig)
+    dcache_ports: int = 2  # the D-cache is dual ported
     bpred: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
+    # VP and IR enabled together make the hybrid the paper's conclusion
+    # suggests: the reuse test runs first, and instructions that miss in
+    # the RB but hit a confident VPT instance are value predicted.
     vp: VPConfig = field(default_factory=VPConfig)
     ir: IRConfig = field(default_factory=IRConfig)
-    # Allow VP and IR together (the paper's suggested hybrid direction):
-    # the reuse test runs first; instructions that miss in the RB but hit
-    # a confident VPT instance are value predicted instead.
-    hybrid: bool = False
 
     verify_commits: bool = False  # cross-check committed results vs oracle
-
-    def with_name(self, name: str) -> "MachineConfig":
-        return replace(self, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +178,22 @@ class MachineConfig:
 # ---------------------------------------------------------------------------
 
 
-def base_config(**overrides) -> MachineConfig:
+def base_config() -> MachineConfig:
     """The base 4-way superscalar of Table 1 (no VP, no IR)."""
-    return MachineConfig(**overrides)
+    return MachineConfig()
 
 
-def ir_config(validation: IRValidation = IRValidation.EARLY,
-              **overrides) -> MachineConfig:
+def ir_config(validation: IRValidation = IRValidation.EARLY) -> MachineConfig:
     """IR with scheme S_{n+d}: 4K-entry, 4-way RB."""
     name = "reuse-n+d" if validation == IRValidation.EARLY else "reuse-late"
-    return MachineConfig(
-        name=name,
-        ir=IRConfig(enabled=True, validation=validation),
-        **overrides,
-    )
+    return MachineConfig(name=name,
+                         ir=IRConfig(enabled=True, validation=validation))
 
 
 def vp_config(kind: PredictorKind = PredictorKind.MAGIC,
               reexec: ReexecPolicy = ReexecPolicy.MULTIPLE,
               branches: BranchPolicy = BranchPolicy.SPECULATIVE,
-              verify_latency: int = 0,
-              **overrides) -> MachineConfig:
+              verify_latency: int = 0) -> MachineConfig:
     """A VP configuration: 16K-entry, 4-way VPT.
 
     The paper's four configurations are the cross product of
@@ -222,12 +211,10 @@ def vp_config(kind: PredictorKind = PredictorKind.MAGIC,
         branch_policy=branches,
         reexec_policy=reexec,
     )
-    return MachineConfig(name=name, vp=vp, **overrides)
+    return MachineConfig(name=name, vp=vp)
 
 
-def vfr_config(kind: Optional[PredictorKind] = None,
-               low_conf_width: int = 2,
-               **overrides) -> MachineConfig:
+def vfr_config(kind: Optional[PredictorKind] = None) -> MachineConfig:
     """Variable-fetch-rate frontend, optionally on top of a VP scheme.
 
     With ``kind=None`` this is the base machine with the throttled
@@ -235,19 +222,14 @@ def vfr_config(kind: Optional[PredictorKind] = None,
     configuration plus the frontend knob, so the interaction between
     value speculation and a confidence-aware fetch can be studied.
     """
-    if kind is None:
-        base = MachineConfig(**overrides)
-    else:
-        base = vp_config(kind, **overrides)
-    return replace(base, name=f"{base.name}-vfr",
-                   variable_fetch_rate=True,
-                   vfr_low_conf_width=low_conf_width)
+    base = MachineConfig() if kind is None else vp_config(kind)
+    return replace(base, name=f"{base.name}-vfr", variable_fetch_rate=True)
 
 
 def hybrid_config(kind: PredictorKind = PredictorKind.MAGIC,
                   verify_latency: int = 0,
-                  branches: BranchPolicy = BranchPolicy.SPECULATIVE,
-                  **overrides) -> MachineConfig:
+                  branches: BranchPolicy = BranchPolicy.SPECULATIVE
+                  ) -> MachineConfig:
     """The hybrid the paper's conclusion motivates: reuse what the RB
     validates non-speculatively, predict the rest.
 
@@ -260,11 +242,9 @@ def hybrid_config(kind: PredictorKind = PredictorKind.MAGIC,
     name = f"hybrid-{kind_name}-{branches.value.lower()}-v{verify_latency}"
     return MachineConfig(
         name=name,
-        hybrid=True,
         vp=VPConfig(enabled=True, kind=kind,
                     associativity=4 if kind == PredictorKind.MAGIC else 1,
                     verify_latency=verify_latency, branch_policy=branches),
         ir=IRConfig(enabled=True),
-        **overrides,
     )
 

@@ -84,7 +84,7 @@ class OutOfOrderCore:
         self.fetch_unit = FetchUnit(config, self.decode, self.predictor)
         self.fus = FunctionalUnits(config)
         self.dcache = SetAssocCache(config.dcache, "dcache")
-        self.dcache_ports = PortTracker(config.dcache.ports)
+        self.dcache_ports = PortTracker(config.dcache_ports)
         self.spec = SpeculativeState(program)
 
         # Rename map: architectural reg -> youngest producer (None when
@@ -133,12 +133,6 @@ class OutOfOrderCore:
             config.vp.enabled
             or (config.ir.enabled
                 and config.ir.validation == IRValidation.LATE))
-
-        if config.vp.enabled and config.ir.enabled and not config.hybrid:
-            raise ValueError(
-                "VP and IR are separate techniques in the paper; enable "
-                "one at a time (or set hybrid=True for the combined "
-                "scheme the paper's conclusion suggests)")
 
         self.oracle: Optional[FunctionalSimulator] = (
             FunctionalSimulator(program) if config.verify_commits else None)
@@ -216,14 +210,20 @@ class OutOfOrderCore:
         # Phase calls are guarded by their work sources: each phase is a
         # no-op on an empty structure, so skipping the call is pure
         # wallclock (the empty-cycle cost matters during stalls).
+        fetch = self.fetch_unit
         if self.rob:
             self._commit()
+        elif fetch.blocked and not fetch.queue and not self.halted:
+            # Nothing in flight can redirect fetch: the committed path
+            # left the program.
+            raise SimulationError(
+                f"fetch ran off the program at {fetch.fetch_pc:#x} with "
+                f"nothing in flight to redirect it (cycle {self.cycle})")
         events = self.events
         if events and events[0][0] <= self.cycle:
             self._process_events()
         if self.issue_queue:
             self._issue()
-        fetch = self.fetch_unit
         if fetch.queue:
             self._dispatch()
         fetch.step(self.cycle)
@@ -1232,9 +1232,6 @@ class OutOfOrderCore:
             # entries, which clear their own consumer lists when they
             # commit or squash).
             victim.consumers.clear()
-        if self.telemetry is not None and op.checkpoint is not None:
-            self.telemetry.emit("checkpoint_restore", self.cycle, op_seq,
-                                op.meta.pc, {"redirect": redirect})
         self.spec.restore(op.checkpoint)
         self.rename = op.rename_snapshot.copy()
         self._repair_predictor(op)

@@ -21,6 +21,10 @@ from .decode import DecodeTable, StaticOp
 #: nothing beyond it per instruction.
 FetchedInst = Tuple[StaticOp, Optional[BranchPrediction], int]
 
+#: Fetch width in the cycle after a low-confidence branch ended the
+#: group, under ``MachineConfig.variable_fetch_rate``.
+VFR_LOW_CONF_WIDTH = 2
+
 
 class FetchUnit:
     """Front end: I-cache + branch prediction + fetch queue."""
@@ -73,7 +77,7 @@ class FetchUnit:
         room = self.config.fetch_queue_size - len(queue)
         width = self.config.fetch_width
         if self._vfr_slow_cycle == cycle:
-            width = min(width, self.config.vfr_low_conf_width)
+            width = min(width, VFR_LOW_CONF_WIDTH)
         throttle = self.config.variable_fetch_rate
         while fetched < width and room > 0:
             pc = self.fetch_pc

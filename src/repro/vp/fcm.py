@@ -1,11 +1,11 @@
 """Order-2 finite-context-method (FCM) value predictor (extension).
 
 Sazeides & Smith's two-level design: a first-level table records, per
-static instruction, the last *order* committed values (the *context*);
-a second-level table maps a hash of that context to the value that
-followed it last time, with a 2-bit confidence counter.  Where the
-last-value and stride predictors capture constant and arithmetic
-sequences, FCM captures *repeating patterns* — exactly the
+static instruction, the last ``FCM_ORDER`` committed values (the
+*context*); a second-level table maps a hash of that context to the
+value that followed it last time, with a 2-bit confidence counter.
+Where the last-value and stride predictors capture constant and
+arithmetic sequences, FCM captures *repeating patterns* — exactly the
 context-sensitive slice of the paper's Figure 8 redundancy taxonomy
 that neither VP_LVP nor a stride predictor can reach (e.g. a result
 alternating between two values trains FCM to full confidence while
@@ -24,6 +24,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..uarch.config import VPConfig
+
+#: Values per context: the classic Sazeides & Smith design point.
+FCM_ORDER = 2
 
 # Knuth/Murmur-style 32-bit mixing constants.
 _MIX_A = 0x9E3779B1
@@ -52,7 +55,6 @@ class FCMTable:
 
     def __init__(self, config: VPConfig):
         self.config = config
-        self.order = max(1, config.fcm_order)
         size = max(1, config.entries)
         self.index_mask = size - 1
         if size & self.index_mask:
@@ -73,14 +75,14 @@ class FCMTable:
         if self.ctx_tags[slot] != key:
             return None
         values = self.ctx_values[slot]
-        return values if len(values) == self.order else None
+        return values if len(values) == FCM_ORDER else None
 
     def push_value(self, key: int, value: int) -> None:
         """Shift *value* into the context (evicting on a tag conflict)."""
         slot = key & self.index_mask
         if self.ctx_tags[slot] == key:
             self.ctx_values[slot] = \
-                (self.ctx_values[slot] + (value,))[-self.order:]
+                (self.ctx_values[slot] + (value,))[-FCM_ORDER:]
         else:
             self.ctx_tags[slot] = key
             self.ctx_values[slot] = (value,)
@@ -107,7 +109,7 @@ class FCMTable:
             value = self._lookup(key, context)
             if value is None:
                 return None
-            context = (context + (value,))[-self.order:]
+            context = (context + (value,))[-FCM_ORDER:]
         return value
 
     def _lookup(self, key: int, context: Tuple[int, ...]) -> Optional[int]:
@@ -199,5 +201,4 @@ class FCMModel(InFlight):
             self.retire(key)
 
     def snapshot(self) -> dict:
-        return {"fcm_order": self.table.order,
-                "fcm_contexts": self.table.occupied_contexts()}
+        return {"fcm_contexts": self.table.occupied_contexts()}

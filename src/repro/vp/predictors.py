@@ -49,11 +49,10 @@ class Model(Protocol):
 class ValuePredictor:
     """The value predictor the core calls, for every :class:`PredictorKind`.
 
-    It owns the entry points, the ``predict_addresses`` gate and the
-    lookup counters, and hands each call's table key (``vp_key`` in
-    :mod:`repro.vp.table`, which decode precomputes as
-    ``StaticOp.vp_result_key`` / ``vp_addr_key``) to the kind's
-    :class:`Model`.
+    It owns the entry points and the lookup counters, and hands each
+    call's table key (``vp_key`` in :mod:`repro.vp.table`, which decode
+    precomputes as ``StaticOp.vp_result_key`` / ``vp_addr_key``) to the
+    kind's :class:`Model`.
     """
 
     def __init__(self, config: VPConfig):
@@ -72,8 +71,6 @@ class ValuePredictor:
     def predict_address(self, key: int, oracle: int) -> Optional[int]:
         """Predict the effective address of the memory op with address
         key *key*."""
-        if not self.config.predict_addresses:
-            return None
         self.addr_lookups += 1
         return self.model.predict(key, oracle)
 
@@ -85,8 +82,7 @@ class ValuePredictor:
 
     def train_address(self, key: int, actual: int,
                       predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self.model.train(key, actual, predicted)
+        self.model.train(key, actual, predicted)
 
     def abort(self, key: int) -> None:
         """A predicted instance (result or address key) was squashed."""

@@ -28,11 +28,11 @@ from repro.experiments.cli import EXPERIMENTS, PAIRS, build_parser, main
 from repro.experiments.configs import BASE, IR_EARLY, vp_magic
 from repro.metrics.report import Report
 from repro.metrics.stats import SimStats
-from repro.uarch.config import base_config
+from repro.uarch.config import MachineConfig, base_config
 from repro.workloads import workload_names
 
 #: A base machine with a different body under the stock name "base".
-NARROW = base_config(rob_size=8, issue_width=1)
+NARROW = MachineConfig(rob_size=8, issue_width=1)
 
 
 @pytest.fixture(scope="module")

@@ -63,14 +63,6 @@ class TestSerialization:
         assert loaded.context["workload"] == "compress"
         assert loaded.interval == 500
 
-    def test_csv_round_trip(self, tmp_path):
-        series = filled_series(2)
-        path = tmp_path / "ts.csv"
-        series.write(path)
-        loaded = load_timeseries(path)
-        assert [[float(v) for v in row] for row in series.rows()] \
-            == loaded.rows()
-
     def test_jsonl_header_is_versioned(self, tmp_path):
         path = tmp_path / "ts.jsonl"
         filled_series(1).write(path)

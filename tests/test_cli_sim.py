@@ -123,3 +123,15 @@ class TestMain:
                 for arg in argv]
         with pytest.raises(SystemExit, match=message):
             main(argv)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--instructions", "100", "--max-cycles", "2000"],
+         "base: fetch ran off the program at 0x1004"),
+        (["--skip", "5"], "base: warm-up ran off program at 0x1004"),
+    ], ids=["timing-run", "warm-up"])
+    def test_running_off_the_program_exits_with_message(self, tmp_path,
+                                                         flags, message):
+        source = tmp_path / "nop.s"
+        source.write_text("main: nop\n")
+        with pytest.raises(SystemExit, match=message):
+            main([str(source)] + flags)

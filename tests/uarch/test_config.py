@@ -44,7 +44,7 @@ class TestTable1Defaults:
             assert cache.associativity == 2
             assert cache.line_bytes == 32
             assert cache.miss_latency == 6
-        assert config.dcache.ports == 2
+        assert config.dcache_ports == 2
 
     def test_branch_predictor(self):
         config = base_config()
@@ -95,10 +95,7 @@ class TestNamedConstructors:
 
     def test_hybrid_enables_both(self):
         config = hybrid_config()
-        assert config.hybrid and config.vp.enabled and config.ir.enabled
-
-    def test_with_name(self):
-        assert base_config().with_name("custom").name == "custom"
+        assert config.vp.enabled and config.ir.enabled
 
     def test_configs_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -117,10 +114,10 @@ class TestZooEnumeration:
         assert plain.name == "base-vfr"
         assert plain.variable_fetch_rate
         assert not plain.vp.enabled
-        stacked = vfr_config(PredictorKind.HYBRID_SELECT, low_conf_width=1)
+        stacked = vfr_config(PredictorKind.HYBRID_SELECT)
         assert stacked.name == "vp-select-me-sb-v0-vfr"
         assert stacked.vp.enabled
-        assert stacked.vfr_low_conf_width == 1
+        assert stacked.variable_fetch_rate
 
     def test_zoo_configs_cover_realistic_kinds(self):
         from repro.experiments.configs import ZOO_KINDS, zoo_configs

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.functional.simulator import SimulationError
 from repro.isa import assemble
 from repro.uarch.config import (CacheConfig, MachineConfig, base_config,
                                  ir_config)
@@ -248,6 +249,17 @@ class TestControlFlow:
         stats = core.run(max_cycles=200)
         assert not stats.halted
         assert stats.cycles <= 200
+
+    def test_running_off_the_program_raises(self):
+        """Once the committed path leaves the program, nothing in
+        flight can redirect fetch: the core says so instead of idling
+        to its cycle budget (which here only bounds a regression)."""
+        core = OutOfOrderCore(base_config(), assemble("main: nop"))
+        with pytest.raises(SimulationError,
+                           match="fetch ran off the program at 0x1004"):
+            core.run(max_instructions=100, max_cycles=5_000)
+        assert core.stats.committed == 1
+        assert core.cycle < 100
 
 
 class TestStructuralLimits:

@@ -96,9 +96,8 @@ class TestClassification:
         main: add $t0, $t1, $t2
               j next
         next: nop
-              jr $ra
+              halt
         """)
-        # jr $ra with empty RAS redirects to 0 -> bad path; just inspect
         by_name = {}
         for op in ops:
             by_name.setdefault(op.inst.opcode.name, op)

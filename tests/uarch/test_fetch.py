@@ -3,7 +3,7 @@
 from repro.isa import assemble
 from repro.uarch.branch_predictor import BranchPredictorUnit
 from repro.uarch.config import BranchPredictorConfig, base_config
-from repro.uarch.fetch import FetchUnit
+from repro.uarch.fetch import VFR_LOW_CONF_WIDTH, FetchUnit
 
 
 def make_fetch(source, config=None):
@@ -160,9 +160,9 @@ class TestVariableFetchRate:
           halt
     """
 
-    def make_vfr(self, **overrides):
+    def make_vfr(self):
         from repro.uarch.config import vfr_config
-        return make_fetch(self.SOURCE, config=vfr_config(**overrides))
+        return make_fetch(self.SOURCE, config=vfr_config())
 
     def test_weak_branch_ends_group_and_throttles(self):
         fetch, _ = self.make_vfr()
@@ -173,16 +173,10 @@ class TestVariableFetchRate:
         # ...and the next cycle runs at the reduced width.
         landed = fetch.queue[-1][2]
         fetch.step(landed + 1)
-        assert len(fetch.queue) == 2 + fetch.config.vfr_low_conf_width
+        assert len(fetch.queue) == 2 + VFR_LOW_CONF_WIDTH
         # The cycle after that is back to full width.
         fetch.step(landed + 2)
-        assert len(fetch.queue) == 2 + fetch.config.vfr_low_conf_width + 4
-
-    def test_low_conf_width_configurable(self):
-        fetch, _ = self.make_vfr(low_conf_width=1)
-        warm(fetch)
-        fetch.step(fetch.queue[-1][2] + 1)
-        assert len(fetch.queue) == 3  # 2 from the group + width 1
+        assert len(fetch.queue) == 2 + VFR_LOW_CONF_WIDTH + 4
 
     def test_confident_branch_does_not_throttle(self):
         fetch, _ = self.make_vfr()

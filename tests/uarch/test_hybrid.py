@@ -63,12 +63,7 @@ loop:   li $t5, 13           # reusable chain
 class TestConfiguration:
     def test_both_engines_enabled(self):
         config = hybrid_config()
-        assert config.vp.enabled and config.ir.enabled and config.hybrid
-
-    def test_non_hybrid_double_enable_rejected(self):
-        config = dataclasses.replace(hybrid_config(), hybrid=False)
-        with pytest.raises(ValueError, match="hybrid"):
-            OutOfOrderCore(config, assemble("main: halt"))
+        assert config.vp.enabled and config.ir.enabled
 
 
 class TestHybridBehaviour:

@@ -8,7 +8,7 @@ demonstrates the limit is modelled at all, and in the right place.
 import dataclasses
 
 from repro.isa import assemble
-from repro.uarch.config import CacheConfig, base_config
+from repro.uarch.config import base_config
 from repro.uarch.core import OutOfOrderCore
 
 
@@ -109,9 +109,8 @@ class TestBandwidthLimits:
 
     def test_single_dcache_port_binds(self):
         full = cycles(MEMORY, base_config())
-        one_port = cycles(MEMORY, dataclasses.replace(
-            base_config(),
-            dcache=CacheConfig(ports=1)))
+        one_port = cycles(MEMORY, dataclasses.replace(base_config(),
+                                                      dcache_ports=1))
         assert one_port >= full
 
     def test_issue_width_binds(self):

@@ -12,17 +12,15 @@ import pytest
 from repro.uarch.config import PredictorKind, VPConfig
 from repro.vp.fcm import FCMModel, FCMTable, mix_context
 from repro.vp.predictors import ValuePredictor, make_predictor
-from repro.vp.table import KIND_ADDRESS, KIND_RESULT, vp_key
+from repro.vp.table import KIND_RESULT, vp_key
 
-#: The result and address keys of the instruction at 0x1000.
+#: The result key of the instruction at 0x1000.
 KEY = vp_key(0x1000, KIND_RESULT)
-ADDR_KEY = vp_key(0x1000, KIND_ADDRESS)
 
 
-def config(threshold=2, entries=64, order=2):
+def config(threshold=2, entries=64):
     return VPConfig(enabled=True, kind=PredictorKind.FCM,
-                    confidence_threshold=threshold, entries=entries,
-                    fcm_order=order)
+                    confidence_threshold=threshold, entries=entries)
 
 
 def feed(p, key, values):
@@ -129,19 +127,6 @@ class TestStructure:
         feed(p, KEY, [7, 9] * 8)
         assert p.predict_result(vp_key(0x2000, KIND_RESULT), 1) is None
 
-    def test_order_one_behaves_like_last_value_context(self):
-        p = ValuePredictor(config(order=1))
-        results = feed(p, KEY, [7, 9] * 8)
-        assert results[-1] in (7, 9)
-
-    def test_addresses_gated_by_config(self):
-        import dataclasses
-        cfg = dataclasses.replace(config(), predict_addresses=False)
-        p = ValuePredictor(cfg)
-        for value in [4, 8] * 8:
-            p.train_address(ADDR_KEY, value, None)
-        assert p.predict_address(ADDR_KEY, 0) is None
-
     def test_factory_dispatch(self):
         assert isinstance(make_predictor(config()).model, FCMModel)
 
@@ -150,5 +135,4 @@ class TestStructure:
         feed(p, KEY, [7, 9] * 4)
         snapshot = p.telemetry_snapshot()
         assert snapshot["kind"] == "fcm"
-        assert snapshot["fcm_order"] == 2
         assert snapshot["fcm_contexts"] >= 1

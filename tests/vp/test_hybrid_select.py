@@ -107,14 +107,6 @@ class TestInterface:
     def test_factory_dispatch(self):
         assert isinstance(make_predictor(config()).model, SelectModel)
 
-    def test_addresses_gated_by_config(self):
-        import dataclasses
-        cfg = dataclasses.replace(config(), predict_addresses=False)
-        p = ValuePredictor(cfg)
-        for value in [4, 8] * 8:
-            p.train_address(ADDR_KEY, value, None)
-        assert p.predict_address(ADDR_KEY, 0) is None
-
     def test_address_stream_predicted(self):
         p = ValuePredictor(config())
         for value in [0x100, 0x104] * 10:

@@ -78,14 +78,6 @@ class TestVPMagic:
         assert predictor.predict_address(ADDR_KEY, oracle=0x8000) == 0x8000
         assert predictor.predict_result(KEY, oracle=0x8000) is None
 
-    def test_address_prediction_can_be_disabled(self):
-        predictor = ValuePredictor(VPConfig(
-            enabled=True, kind=PredictorKind.MAGIC,
-            predict_addresses=False))
-        for _ in range(3):
-            predictor.train_address(ADDR_KEY, 0x8000, None)
-        assert predictor.predict_address(ADDR_KEY, oracle=0x8000) is None
-
 
 class TestVPLVP:
     def test_single_instance(self):
@@ -112,10 +104,10 @@ class TestVPLVP:
 
 
 class TestPerfectPredictor:
-    def _make(self, **kw):
+    def _make(self):
         from repro.uarch.config import PredictorKind, VPConfig
         from repro.vp.predictors import PerfectModel, make_predictor
-        config = VPConfig(enabled=True, kind=PredictorKind.PERFECT, **kw)
+        config = VPConfig(enabled=True, kind=PredictorKind.PERFECT)
         predictor = make_predictor(config)
         assert isinstance(predictor.model, PerfectModel)
         return predictor
@@ -124,10 +116,6 @@ class TestPerfectPredictor:
         predictor = self._make()
         assert predictor.predict_result(KEY, 42) == 42
         assert predictor.predict_address(ADDR_KEY, 0x8000) == 0x8000
-
-    def test_respects_address_disable(self):
-        predictor = self._make(predict_addresses=False)
-        assert predictor.predict_address(ADDR_KEY, 0x8000) is None
 
     def test_training_and_abort_are_noops(self):
         predictor = self._make()
