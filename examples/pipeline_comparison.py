@@ -10,13 +10,15 @@ previous) through (i) the base superscalar, (ii) a pipeline with VP, and
 * IR:   the whole chain is reused at decode — commit in cycle 3.
 
 This example runs a real I-J-K chain (warmed up so the VPT/RB know it)
-and prints the cycle each instruction committed in, relative to the
-chain's fetch cycle.
+and prints, from the Figure-2 rows of the chain's last ``commit`` events
+(:func:`repro.telemetry.events.figure2_rows`), the cycle each
+instruction committed in, relative to the chain's fetch cycle.
 
 Run:  python examples/pipeline_comparison.py
 """
 
 from repro import OutOfOrderCore, assemble, base_config, ir_config, vp_config
+from repro.telemetry.events import figure2_rows
 
 # The observed chain lives in a loop so the predictor/reuse-buffer have
 # seen it; we report timing for a late iteration (steady state).
@@ -33,20 +35,19 @@ loop:   li $t0, 7          # I:  t0 = 7
 CHAIN_NAMES = {0: "I (li)", 1: "J (add)", 2: "K (add)"}
 
 
-def chain_timings(config):
+def chain_rows(config):
+    """The Figure-2 rows of the chain's last iteration, I first."""
     program = assemble(SOURCE)
     core = OutOfOrderCore(config, program)
-    loop_start = program.symbol("loop")
-    commits = {}
-
-    def record(op, cycle):
-        offset = (op.inst.pc - loop_start) // 4
-        if offset in CHAIN_NAMES:
-            commits[offset] = (cycle, op.dispatch_cycle)
-
-    core.on_commit = record
+    sink = core.enable_telemetry()
     core.run(max_cycles=20_000)
-    return commits
+    loop_start = program.symbol("loop")
+    last = {}
+    for event in sink.trace.select(kinds=["commit"]):
+        offset = (event.pc - loop_start) // 4
+        if offset in CHAIN_NAMES:
+            last[offset] = event
+    return figure2_rows(last[offset] for offset in sorted(last))
 
 
 def main() -> None:
@@ -56,14 +57,12 @@ def main() -> None:
           f"{'chain commit spread':>20}")
     print("-" * 62)
     for config in (base_config(), vp_config(), ir_config()):
-        commits = chain_timings(config)
-        origin = min(dispatch for _, dispatch in commits.values())
-        spread = (max(cycle for cycle, _ in commits.values())
-                  - min(cycle for cycle, _ in commits.values()))
-        for offset in sorted(commits):
-            cycle, dispatch = commits[offset]
+        rows = chain_rows(config)
+        commits = [row[5] for row in rows]
+        spread = max(commits) - min(commits)
+        for offset, (_, _, dispatch, _, _, commit, _) in enumerate(rows):
             print(f"{config.name:<12} {CHAIN_NAMES[offset]:<8} "
-                  f"{dispatch - origin:>8} {cycle - origin:>10}"
+                  f"{dispatch:>8} {commit:>10}"
                   + (f" {spread:>19}" if offset == 2 else ""))
         print()
     print("Figure 2's point: in the base pipeline the chain commits over")

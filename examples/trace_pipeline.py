@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Watch instructions flow through the pipeline under each technique.
 
-Uses :class:`repro.uarch.trace.PipelineTracer` to print a Figure-2-style
-table — dispatch / issue / completion / commit cycle per instruction,
-plus how its value was obtained — for the base, VP and IR machines over
-the same redundant loop (steady state).
+Records each run's pipeline events with a telemetry sink and prints
+the Figure-2-style table of its ``commit`` events
+(:func:`repro.telemetry.events.figure2_table`) — dispatch / issue /
+completion / commit cycle per instruction, plus how its value was
+obtained — for the base, VP and IR machines over the same redundant
+loop (steady state).
 
 Run:  python examples/trace_pipeline.py
 """
 
 from repro import OutOfOrderCore, assemble, base_config, ir_config, vp_config
-from repro.uarch.trace import PipelineTracer
+from repro.telemetry.events import figure2_table
 
 SOURCE = """
 main:   li $s0, 40
@@ -27,11 +29,12 @@ loop:   li $t0, 6          # a redundant four-instruction chain
 def main() -> None:
     for config in (base_config(), vp_config(), ir_config()):
         core = OutOfOrderCore(config, assemble(SOURCE))
-        # Skip the first ~25 commits so the VPT/RB are warm.
-        tracer = PipelineTracer(core, limit=7, start_cycle=30)
+        sink = core.enable_telemetry()
         core.run(max_cycles=20_000)
+        # Skip the first ~25 commits so the VPT/RB are warm.
+        commits = sink.trace.select(kinds=["commit"], since=30)
         print(f"=== {config.name} ===")
-        print(tracer.render())
+        print(figure2_table(commits[:7]))
         print()
     print("Reading the 'how' column: 'executed' instructions waited for")
     print("their operands; 'predicted' ones issued immediately on VPT")

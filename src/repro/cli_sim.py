@@ -9,7 +9,8 @@ A downstream user's entry point for quick studies::
 
 Prints cycles/IPC/capture rates per configuration, optionally followed by
 a per-class breakdown (see :mod:`repro.metrics.breakdown`) and a pipeline
-trace of the first committed instructions.
+trace of the first committed instructions, rendered from the run's
+event ring by :func:`repro.telemetry.events.figure2_table`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .functional.checkpoint import CheckpointStore
 from .functional.simulator import SimulationError
 from .isa import AssemblyError, assemble
 from .metrics.breakdown import ClassBreakdown
+from .telemetry.events import figure2_table
 from .uarch.config import (
     IRValidation,
     MachineConfig,
@@ -33,7 +35,6 @@ from .uarch.config import (
     vp_config,
 )
 from .uarch.core import OutOfOrderCore
-from .uarch.trace import PipelineTracer
 from .workloads import get_workload, workload_names
 
 CONFIG_FACTORIES = {
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--breakdown", action="store_true",
                         help="print the per-class capture breakdown")
     parser.add_argument("--trace", type=int, metavar="N", default=0,
-                        help="print a pipeline trace of N committed "
-                             "instructions (steady state)")
+                        help="print the pipeline trace of the first N "
+                             "commits from cycle 200 in the event ring")
     parser.add_argument("--verify", action="store_true",
                         help="verify every commit against the functional "
                              "simulator")
@@ -98,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "config (JSONL; inspect with repro-trace)")
     parser.add_argument("--trace-buffer", type=int, default=None,
                         metavar="N",
-                        help="event ring-buffer capacity for "
-                             "--trace-out (default 65536; oldest "
+                        help="event ring-buffer capacity for --trace "
+                             "and --trace-out (default 65536; oldest "
                              "events drop first)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
                         help="persist warm-state checkpoints here so "
@@ -154,6 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--instructions", args.instructions, 1),
             ("--max-cycles", args.max_cycles, 1),
             ("--skip", args.skip, 0),
+            ("--trace", args.trace, 0),
             ("--telemetry-interval", args.telemetry_interval, 1),
             ("--trace-buffer", args.trace_buffer, 1)):
         if value is not None and value < least:
@@ -186,17 +188,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             # result bytes never pass through this path.
             core.stats.workload_name = args.workload
         breakdown = ClassBreakdown(core) if args.breakdown else None
-        tracer = None
-        if args.trace:
-            tracer = PipelineTracer(core, limit=args.trace,
-                                    start_cycle=200)
         profile = core.enable_profiling() if args.profile else None
         sink = None
-        if args.telemetry_out or args.trace_out:
+        events = bool(args.trace or args.trace_out)
+        if events or args.telemetry_out:
             sink = core.enable_telemetry(
                 interval=args.telemetry_interval,
-                trace_capacity=args.trace_buffer,
-                events=args.trace_out is not None)
+                trace_capacity=args.trace_buffer, events=events)
         try:
             core.restore_warm(checkpoints.get(program, skip))
             stats = core.run(max_cycles=args.max_cycles,
@@ -213,9 +211,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if breakdown is not None:
             extras.append(breakdown.report(
                 f"Per-class breakdown: {config.name}"))
-        if tracer is not None:
-            extras.append(f"Pipeline trace: {config.name}\n"
-                          + tracer.render())
+        if args.trace:
+            trace = sink.trace
+            commits = trace.select(kinds=["commit"], since=200)
+            title = f"Pipeline trace: {config.name}"
+            if trace.dropped:
+                title += (f" (from the last {len(trace)} events kept; "
+                          f"{trace.dropped} dropped)")
+            extras.append(f"{title}\n" + figure2_table(commits[:args.trace]))
         if profile is not None:
             extras.append(f"Profile: {config.name}\n"
                           + profile.report())

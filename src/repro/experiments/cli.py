@@ -175,7 +175,13 @@ def main(argv: List[str] | None = None) -> int:
     for name in names:
         sweep.extend(PAIRS[name]())
     if sweep:
-        runner.prefetch(sweep)
+        try:
+            runner.prefetch(sweep)
+        except Exception as exc:
+            if not hasattr(exc, "failed_cells"):
+                raise
+            print(f"repro-experiment: {exc}", file=sys.stderr)
+            return 1
     for name in names:
         for report in EXPERIMENTS[name](runner):
             print()

@@ -50,7 +50,7 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..functional.checkpoint import CheckpointStore
 from ..functional.simulator import FunctionalSimulator
@@ -210,6 +210,11 @@ class ExperimentRunner:
         when the sweep ends, normally or by an exception.  A sweep with
         nothing to simulate writes none, so it never overwrites the
         record of the sweep that did the work.
+
+        A cell that raises costs only that cell: the others still run
+        and are stored, then ``run_many`` raises an instance of the first
+        failure's class naming every failed ``(workload, config name)``
+        in its message and its ``failed_cells``.
         """
         pairs = list(pairs)
         jobs = self._effective_jobs(jobs)
@@ -250,26 +255,41 @@ class ExperimentRunner:
             return results
         total = len(pending)
         workers = min(jobs, total)
+        failures: Dict[Tuple[str, str], Exception] = {}
         self._write_sweep_manifest(unique, total, workers, None)
         try:
             if workers <= 1:
                 for _, workload, config in pending:
-                    results[(workload, config.name)] = self.run(workload,
-                                                                config)
+                    try:
+                        results[(workload, config.name)] = self.run(
+                            workload, config)
+                    except Exception as exc:
+                        failures[(workload, config.name)] = exc
             else:
-                self._fan_out(pending, workers, results)
+                self._fan_out(pending, workers, results, failures)
         finally:
             # An interrupted sweep is over too: without the closing
             # write, repro-top would show it running forever.
             self._write_sweep_manifest(unique, total, workers,
                                        time.perf_counter() - sweep_started)
+        if failures:
+            failed = [(workload, config.name) for _, workload, config
+                      in pending if (workload, config.name) in failures]
+            first = failures[failed[0]]
+            error = type(first)(f"{len(failed)} of {total} cells failed:"
+                                + "".join(f"\n  {w} / {c}: {failures[w, c]!r}"
+                                          for w, c in failed))
+            error.failed_cells = failed  # type: ignore[attr-defined]
+            raise error from first
         return results
 
     def _fan_out(self, pending: List[Tuple[str, str, MachineConfig]],
                  workers: int,
-                 results: Dict[Tuple[str, str], SimStats]) -> None:
+                 results: Dict[Tuple[str, str], SimStats],
+                 failures: Dict[Tuple[str, str], Exception]) -> None:
         """Simulate *pending* on a pool of *workers* processes into
-        *results* and this process's memory cache."""
+        *results* and this process's memory cache, and the exception
+        of each cell that raised into *failures*."""
         ctx = multiprocessing.get_context(self.mp_start_method)
         settings = self.settings()
         # Children are silent (the parent narrates) and serial.
@@ -283,6 +303,12 @@ class ExperimentRunner:
             for workload, cname, payload, elapsed in \
                     pool.imap_unordered(_worker_run, tasks):
                 done += 1
+                if isinstance(payload, Exception):
+                    failures[(workload, cname)] = payload
+                    if not self.quiet:
+                        print(f"[run {done}/{total}] {workload} / {cname} "
+                              f"failed: {payload!r}", flush=True)
+                    continue
                 stats = SimStats.from_dict(payload)
                 results[(workload, cname)] = stats
                 if not self.quiet:
@@ -294,7 +320,8 @@ class ExperimentRunner:
                   f"in {time.perf_counter() - started:.1f}s", flush=True)
         # Adopt the children's results into this process's memory cache.
         for key, workload, config in pending:
-            self._memory_cache[key] = results[(workload, config.name)]
+            if (workload, config.name) in results:
+                self._memory_cache[key] = results[(workload, config.name)]
 
     def _write_sweep_manifest(self, unique: Dict[str, Pair],
                               simulated: int, jobs: int,
@@ -531,12 +558,17 @@ def _worker_init(settings: Dict) -> None:
     _WORKER_RUNNER = ExperimentRunner(**settings)
 
 
-def _worker_run(pair: Pair) -> Tuple[str, str, Dict, float]:
+def _worker_run(pair: Pair) -> Tuple[str, str, Union[Dict, Exception],
+                                      float]:
+    """One cell's statistics as a dict, or the exception it raised."""
     workload, config = pair
     started = time.perf_counter()
-    stats = _WORKER_RUNNER.run(workload, config)
-    return workload, config.name, stats.as_dict(), \
-        time.perf_counter() - started
+    try:
+        payload: Union[Dict, Exception] = _WORKER_RUNNER.run(
+            workload, config).as_dict()
+    except Exception as exc:
+        payload = exc
+    return workload, config.name, payload, time.perf_counter() - started
 
 
 def default_runner(**overrides) -> ExperimentRunner:

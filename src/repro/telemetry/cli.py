@@ -9,10 +9,11 @@ Usage::
     repro-trace run.trace.jsonl --counts              # events per kind
     repro-trace run.trace.jsonl --figure2             # pipeline view
 
-``--figure2`` reconstructs the Figure-2 pipeline table of
-``repro-sim --trace`` from the trace's ``commit`` events — the exact
-same formatting helper renders both, so a saved trace is as good as a
-live tracer for the paper's Figure-2 style analysis.
+``--figure2`` renders the Figure-2 pipeline table from the trace's
+``commit`` events with :func:`~repro.telemetry.events.figure2_table`,
+the renderer ``repro-sim --trace`` uses on its own event ring: for the
+same run, ``--figure2 --since 200 --limit N`` prints the table
+``repro-sim --trace N`` printed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .events import EVENT_KINDS, TraceEvent, load_trace
+from .events import EVENT_KINDS, TraceEvent, figure2_table, load_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,45 +91,38 @@ def _parse_pc(raw: Optional[str]) -> Optional[int]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 0:
+        parser.error(f"--limit must be non-negative, got {args.limit}")
     try:
-        trace = load_trace(args.trace)
+        header, trace = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
 
-    header = trace.header
     context = ", ".join(f"{key}={header[key]}"
-                        for key in ("workload", "config") if key in header)
+                        for key in ("workload", "config") if header.get(key))
     print(f"trace: {args.trace}   events: {len(trace)}   "
-          f"dropped: {header.get('dropped', 0)}"
+          f"dropped: {trace.dropped}"
           + (f"   ({context})" if context else ""))
 
+    filters = {"pc": _parse_pc(args.pc), "since": args.since,
+               "until": args.until}
     if args.figure2:
-        from ..uarch.trace import records_from_events, render_trace_table
-        records = records_from_events(
-            trace.select(kinds=["commit"], pc=_parse_pc(args.pc),
-                         since=args.since, until=args.until))
-        if args.limit is not None:
-            records = records[:args.limit]
+        commits = trace.select(kinds=["commit"], **filters)
         print()
-        print(render_trace_table(records))
+        print(figure2_table(commits[:args.limit]))
         return 0
 
-    selected = trace.select(kinds=_parse_kinds(args.kinds),
-                            pc=_parse_pc(args.pc),
-                            since=args.since, until=args.until)
+    kinds = _parse_kinds(args.kinds)
     if args.counts:
-        counts = {}
-        for event in selected:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        counts = trace.counts(kinds=kinds, **filters)
         width = max((len(kind) for kind in counts), default=4)
         for kind in sorted(counts, key=counts.get, reverse=True):
             print(f"{kind:<{width}}  {counts[kind]}")
         return 0
 
-    if args.limit is not None:
-        selected = selected[:args.limit]
-    for event in selected:
+    for event in trace.select(kinds=kinds, **filters)[:args.limit]:
         print(format_event(event))
     return 0
 

@@ -8,8 +8,8 @@ window, which is the one a "why did IPC collapse at the end" question
 needs.  The serialized form is versioned JSONL (one header object, then
 one object per event) so saved traces survive schema growth; the
 ``repro-trace`` CLI (:mod:`repro.telemetry.cli`) filters and renders
-saved traces, including reconstructing the Figure-2 pipeline view from
-``commit`` events.
+saved traces, and :func:`figure2_table` renders the Figure-2 pipeline
+view from ``commit`` events, for them and for ``repro-sim --trace``.
 
 Event kinds and their ``data`` payloads are documented in
 ``docs/telemetry.md``; :data:`EVENT_KINDS` is the closed registry the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 TRACE_FORMAT = "repro-trace-v1"
 
@@ -105,9 +105,10 @@ class EventTrace:
         """Events evicted by the ring bound (oldest-first)."""
         return self.emitted - len(self.events)
 
-    def counts(self) -> Dict[str, int]:
-        """Events per kind currently in the buffer."""
-        return dict(Counter(event.kind for event in self.events))
+    def counts(self, **filters) -> Dict[str, int]:
+        """Events per kind among those :meth:`select` keeps for
+        *filters* (all buffered events without any)."""
+        return dict(Counter(event.kind for event in self.select(**filters)))
 
     def select(self, kinds: Optional[Iterable[str]] = None,
                pc: Optional[int] = None,
@@ -144,8 +145,10 @@ class EventTrace:
         return "\n".join(lines) + "\n"
 
 
-def load_trace(path) -> "LoadedTrace":
-    """Parse a saved trace; raises ``ValueError`` on a foreign file."""
+def load_trace(path) -> Tuple[Dict, EventTrace]:
+    """Parse a saved trace into its header and an :class:`EventTrace`
+    of its events, whose ``dropped`` is the recorded run's; raises
+    ``ValueError`` on a foreign file."""
     from pathlib import Path
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -154,27 +157,76 @@ def load_trace(path) -> "LoadedTrace":
     if not isinstance(header, dict) \
             or header.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
-    events = [TraceEvent.from_dict(json.loads(line))
-              for line in lines[1:] if line.strip()]
-    return LoadedTrace(header, events)
+    trace = EventTrace(header.get("capacity", DEFAULT_CAPACITY))
+    trace.events.extend(TraceEvent.from_dict(json.loads(line))
+                        for line in lines[1:] if line.strip())
+    trace.emitted = header.get("emitted", len(trace))
+    return header, trace
 
 
-class LoadedTrace:
-    """A deserialized trace: the header plus the event list.
+# -- the Figure-2 view ------------------------------------------------------------
 
-    Exposes the same ``select``/``counts`` queries as the live
-    :class:`EventTrace`, so CLI code works on either.
+_HEADERS = ("pc", "instruction", "disp", "issue", "done", "commit", "how")
+_RIGHT_ALIGNED = frozenset((2, 3, 4, 5))  # the cycle-number columns
+
+
+def _how(data: Dict) -> str:
+    """How a committed instruction got its value."""
+    if data["reused"]:
+        return "reused"
+    if data["predicted"]:
+        return "predicted" if data["correct"] else "predicted (wrong)"
+    return "executed"
+
+
+def figure2_rows(events: Iterable[TraceEvent],
+                 relative: bool = True) -> List[Tuple]:
+    """One Figure-2 row ``(pc, text, dispatch, issue, complete, commit,
+    how)`` per ``commit`` event among *events*: cycles relative to the
+    earliest dispatch unless not *relative*, ``issue`` ``None`` if the
+    instruction never issued."""
+    commits = [event for event in events if event.kind == "commit"]
+    origin = min((event.data["dispatch"] for event in commits), default=0) \
+        if relative else 0
+    rows = []
+    for event in commits:
+        data = event.data
+        issue = data["issue"]
+        rows.append((event.pc, data["text"], data["dispatch"] - origin,
+                     None if issue is None else issue - origin,
+                     data["complete"] - origin, event.cycle - origin,
+                     _how(data)))
+    return rows
+
+
+def figure2_table(events: Iterable[TraceEvent],
+                  relative: bool = True) -> str:
+    """:func:`figure2_rows` as a text table, one row per line.
+
+    Column widths are computed over headers *and* cells, so arbitrarily
+    long disassembly strings (or a text column narrower than its
+    header) can never shear the columns out of alignment.
     """
+    rows = [(f"{pc:#010x}", text, str(dispatch),
+             "-" if issue is None else str(issue), str(complete),
+             str(commit), how)
+            for pc, text, dispatch, issue, complete, commit, how
+            in figure2_rows(events, relative)]
+    if not rows:
+        return "(no instructions traced)"
+    widths = [max(len(_HEADERS[col]), max(len(row[col]) for row in rows))
+              for col in range(len(_HEADERS))]
 
-    def __init__(self, header: Dict, events: List[TraceEvent]):
-        self.header = header
-        self.events = events
+    def fmt(cells) -> str:
+        parts = []
+        for col, cell in enumerate(cells):
+            if col in _RIGHT_ALIGNED:
+                parts.append(cell.rjust(widths[col]))
+            else:
+                parts.append(cell.ljust(widths[col]))
+        return "  ".join(parts).rstrip()
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    counts = EventTrace.counts
-    select = EventTrace.select
+    full_width = sum(widths) + 2 * (len(_HEADERS) - 1)
+    lines = [fmt(_HEADERS), "-" * full_width]
+    lines.extend(fmt(row) for row in rows)
+    return "\n".join(lines)

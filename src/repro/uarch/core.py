@@ -138,7 +138,8 @@ class OutOfOrderCore:
             FunctionalSimulator(program) if config.verify_commits else None)
 
         # Optional observer invoked as on_commit(op, cycle) for every
-        # committed instruction (tracing, examples, custom statistics).
+        # committed instruction (the per-class breakdown, custom
+        # statistics, tests' independent checking paths).
         # It gets the live entry; commit clears the entry's dataflow
         # edges when the observer returns.
         self.on_commit = None

@@ -4,11 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro import cli_sim
 from repro.isa import assemble
 from repro.telemetry.cli import main
+from repro.telemetry.events import EventTrace, figure2_table
 from repro.uarch.config import base_config
 from repro.uarch.core import OutOfOrderCore
-from repro.uarch.trace import PipelineTracer
 
 SOURCE = """
 main:   li $s0, 20
@@ -23,16 +24,15 @@ loop:   li $t0, 4
 
 @pytest.fixture(scope="module")
 def captured(tmp_path_factory):
-    """One traced run shared by every CLI test: (trace path, live
-    render of the same run's PipelineTracer)."""
+    """One traced run shared by every CLI test: (trace path, the
+    in-process Figure-2 render of the same run's events)."""
     config = dataclasses.replace(base_config(), verify_commits=True)
     core = OutOfOrderCore(config, assemble(SOURCE))
-    tracer = PipelineTracer(core, limit=10_000)
     sink = core.enable_telemetry(interval=100)
     core.run(max_cycles=20_000)
     path = tmp_path_factory.mktemp("trace") / "run.trace.jsonl"
     sink.write_trace(path, workload="asm")
-    return path, tracer.render()
+    return path, figure2_table(sink.trace)
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,20 @@ class TestFiltering:
         _, out = run_cli(capsys, captured[0], "--kinds", "commit")
         lines = out.splitlines()[1:]
         assert lines and all(" commit " in line for line in lines)
+
+    def test_empty_context_values_omitted(self, tmp_path, capsys):
+        path = tmp_path / "source.trace.jsonl"
+        path.write_text(EventTrace(4).dumps(workload="",
+                                            config="reuse-n+d"))
+        _, out = run_cli(capsys, path)
+        assert out.splitlines()[0].endswith("   (config=reuse-n+d)")
+
+    def test_negative_limit_rejected(self, captured, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(captured[0]), "--kinds", "commit", "--limit", "-1"])
+        assert excinfo.value.code == 2
+        assert "--limit must be non-negative, got -1" \
+            in capsys.readouterr().err
 
     def test_unknown_kind_rejected(self, captured):
         with pytest.raises(SystemExit, match="unknown event kind"):
@@ -80,14 +94,31 @@ class TestFiltering:
 
 
 class TestFigure2:
-    def test_reconstruction_matches_live_tracer(self, captured, capsys):
-        """The saved-trace pipeline view IS the live Figure-2 view.
-
-        Both go through render_trace_table, and the commit events carry
-        the full per-instruction lifetimes, so the tables must match
-        line for line (modulo the CLI's header line).
-        """
-        path, live = captured
+    def test_figure2_matches_in_process_render(self, captured, capsys):
+        """A saved trace renders the table its run's events render in
+        process (modulo the CLI's header line)."""
+        path, rendered = captured
         _, out = run_cli(capsys, path, "--figure2")
-        reconstructed = out.split("\n\n", 1)[1].rstrip("\n")
-        assert reconstructed == live.rstrip("\n")
+        assert out.split("\n\n", 1)[1].rstrip("\n") == rendered
+
+    def test_sim_trace_matches_saved_trace_when_the_ring_overflows(
+            self, tmp_path, capsys):
+        """``repro-sim --trace N`` and ``repro-trace --figure2 --since
+        200 --limit N`` show the same commits, also when the ring kept
+        only the end of the run."""
+        path = tmp_path / "compress-ir.trace.jsonl"
+        assert cli_sim.main(["--workload", "compress", "--config", "ir",
+                             "--instructions", "3000", "--trace", "16",
+                             "--trace-buffer", "2000",
+                             "--trace-out", str(path)]) == 0
+        sim_out = capsys.readouterr().out
+        title, sim_table = sim_out.split("Pipeline trace: ", 1)[1].split(
+            "\n", 1)
+        sim_table = sim_table.split("\n\n", 1)[0]
+        _, out = run_cli(capsys, path, "--figure2", "--since", "200",
+                         "--limit", "16")
+        assert out.split("\n\n", 1)[1].rstrip("\n") == sim_table
+        assert len(sim_table.splitlines()) == 2 + 16
+        assert "dropped: 0" not in out
+        assert title.startswith(
+            "reuse-n+d (from the last 2000 events kept; ")

@@ -58,10 +58,10 @@ class TestSerialization:
         trace = small_trace(6)
         path = tmp_path / "t.trace.jsonl"
         path.write_text(trace.dumps(workload="compress"))
-        loaded = load_trace(path)
+        header, loaded = load_trace(path)
         assert len(loaded) == 6
-        assert loaded.header["workload"] == "compress"
-        assert loaded.header["emitted"] == 6
+        assert header["workload"] == "compress"
+        assert header["emitted"] == 6
         first = loaded.select()[0]
         assert first.kind == "dispatch" and first.pc == 0x1000
         assert first.data == {"opcode": "add"}

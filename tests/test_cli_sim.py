@@ -80,6 +80,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--skip", "-5", "non-negative"),
+        ("--trace", "-3", "non-negative"),
         ("--telemetry-interval", "-10", "positive"),
         ("--trace-buffer", "-1", "positive")])
     def test_negative_values_rejected(self, source_file, flag, value,

@@ -8,6 +8,11 @@ squashes, executions and reuse counts.  Only the fields in
 :data:`EXEMPT` may differ: the predictor is still looked up at every
 eligible dispatch.
 
+Orderings hold too: a perfect predictor is never wrong and never slower
+than VP_Magic, whose values it bounds (the paper's footnote 3), and
+reuse validated at decode is never slower than reuse validated at
+execute.
+
 The golden corpus pins each cell to its recorded bytes; these cases pin
 how cells relate, so they still hold after an intentional regeneration
 of the corpus.
@@ -20,6 +25,7 @@ import pytest
 from repro.functional.checkpoint import CheckpointStore
 from repro.uarch.config import (
     BranchPolicy,
+    IRValidation,
     MachineConfig,
     PredictorKind,
     ReexecPolicy,
@@ -61,6 +67,16 @@ def collapses():
                for kind in KINDS])
 
 
+def orderings():
+    """(config, the configuration it must take no more cycles than)."""
+    bounds = [(vp_config(PredictorKind.PERFECT, branches=branches,
+                         verify_latency=latency),
+               vp_config(PredictorKind.MAGIC, branches=branches,
+                         verify_latency=latency))
+              for branches in BranchPolicy for latency in (0, 1)]
+    return bounds + [(ir_config(), ir_config(IRValidation.LATE))]
+
+
 def timing(workload: str, config: MachineConfig) -> dict:
     spec = get_workload(workload)
     program = spec.program()
@@ -85,3 +101,20 @@ def test_never_confident_vp_is_base_and_hybrid_is_ir(workload):
             mismatches.append(f"{config.name} != {reference.name}: "
                               + ", ".join(fields))
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("workload", sorted(all_workloads()))
+def test_perfect_bounds_magic_and_early_bounds_late(workload):
+    violations = []
+    for config, bound in orderings():
+        got = timing(workload, config)
+        limit = timing(workload, bound)["cycles"]
+        if got["cycles"] > limit:
+            violations.append(f"{config.name}: {got['cycles']} cycles > "
+                              f"{bound.name}: {limit}")
+        if config.vp.kind is PredictorKind.PERFECT \
+                and got["vp_result_correct"] != got["vp_result_predicted"]:
+            violations.append(f"{config.name}: "
+                              f"{got['vp_result_correct']} of "
+                              f"{got['vp_result_predicted']} correct")
+    assert not violations, "\n".join(violations)

@@ -1,16 +1,11 @@
-"""Tests for the pipeline tracer."""
+"""Tests for the Figure-2 pipeline view of a run's ``commit`` events."""
 
 import dataclasses
 
 from repro.isa import assemble
+from repro.telemetry.events import TraceEvent, figure2_rows, figure2_table
 from repro.uarch.config import base_config, ir_config, vp_config
 from repro.uarch.core import OutOfOrderCore
-from repro.uarch.trace import (
-    PipelineTracer,
-    TraceRecord,
-    records_from_events,
-    render_trace_table,
-)
 
 SOURCE = """
 main:   li $s0, 30
@@ -24,81 +19,80 @@ loop:   li $t0, 4
 
 
 def traced_run(config, limit=64, start_cycle=0):
+    """The first *limit* commit events at or after *start_cycle*."""
     config = dataclasses.replace(config, verify_commits=True)
     core = OutOfOrderCore(config, assemble(SOURCE))
-    tracer = PipelineTracer(core, limit=limit, start_cycle=start_cycle)
+    sink = core.enable_telemetry(interval=100)
     core.run(max_cycles=20_000)
-    return tracer
+    return sink.trace.select(kinds=["commit"], since=start_cycle)[:limit]
 
 
 class TestRecording:
     def test_records_in_commit_order(self):
-        tracer = traced_run(base_config())
-        commits = [record.commit for record in tracer.records]
+        commits = [event.cycle for event in traced_run(base_config())]
         assert commits == sorted(commits)
 
     def test_limit_respected(self):
-        tracer = traced_run(base_config(), limit=5)
-        assert len(tracer.records) == 5
+        assert len(traced_run(base_config(), limit=5)) == 5
 
     def test_start_cycle_skips_warmup(self):
-        tracer = traced_run(base_config(), start_cycle=50)
-        assert all(record.commit >= 50 for record in tracer.records)
+        assert all(event.cycle >= 50
+                   for event in traced_run(base_config(), start_cycle=50))
 
     def test_stage_ordering_invariant(self):
-        for record in traced_run(base_config()).records:
-            assert record.dispatch <= record.complete <= record.commit
-            if record.issue is not None:
-                assert record.dispatch < record.issue
+        for _, _, dispatch, issue, complete, commit, _ in \
+                figure2_rows(traced_run(base_config())):
+            assert dispatch <= complete <= commit
+            if issue is not None:
+                assert dispatch < issue
 
     def test_origin_labels(self):
-        reuse_tracer = traced_run(ir_config(), limit=64)
-        assert any(r.origin == "reused" for r in reuse_tracer.records)
-        vp_tracer = traced_run(vp_config(), limit=64)
-        assert any(r.origin.startswith("predicted")
-                   for r in vp_tracer.records)
+        reuse_rows = figure2_rows(traced_run(ir_config(), limit=64))
+        assert any(row[6] == "reused" for row in reuse_rows)
+        vp_rows = figure2_rows(traced_run(vp_config(), limit=64))
+        assert any(row[6].startswith("predicted") for row in vp_rows)
 
     def test_executions_counted(self):
-        tracer = traced_run(base_config())
-        executed = [r for r in tracer.records if r.origin == "executed"
-                    and not r.text.startswith(("j ", "jal", "nop", "halt"))]
-        assert all(r.executions >= 1 for r in executed)
-
-    def test_detach_restores_hook(self):
-        core = OutOfOrderCore(base_config(), assemble(SOURCE))
-        tracer = PipelineTracer(core)
-        tracer.detach()
-        assert core.on_commit is None
+        events = traced_run(base_config())
+        for event, row in zip(events, figure2_rows(events)):
+            if row[6] == "executed" and not row[1].startswith(
+                    ("j ", "jal", "nop", "halt")):
+                assert event.data["executions"] >= 1
 
 
 class TestRendering:
     def test_render_contains_instructions(self):
-        text = traced_run(base_config()).render()
+        text = figure2_table(traced_run(base_config()))
         assert "add" in text and "commit" in text
 
     def test_render_relative_cycles_start_at_zero(self):
-        tracer = traced_run(base_config())
-        first_line = tracer.render().splitlines()[2]
+        first_line = figure2_table(traced_run(base_config())).splitlines()[2]
         assert " 0 " in first_line or first_line.split()[-5] == "0"
 
     def test_empty_trace_renders(self):
         core = OutOfOrderCore(base_config(), assemble("main: halt"))
-        tracer = PipelineTracer(core, start_cycle=10_000)
+        sink = core.enable_telemetry()
         core.run(max_cycles=100)
-        assert "no instructions" in tracer.render()
+        commits = sink.trace.select(kinds=["commit"], since=10_000)
+        assert "no instructions" in figure2_table(commits)
 
-    def test_chain_spread_smaller_with_reuse(self):
+    def test_commit_spread_smaller_with_reuse(self):
+        def commit_spread(events):
+            cycles = [event.cycle for event in events]
+            return max(cycles) - min(cycles)
+
         base = traced_run(base_config(), limit=20, start_cycle=40)
         reuse = traced_run(ir_config(), limit=20, start_cycle=40)
-        assert reuse.chain_spread() <= base.chain_spread()
+        assert commit_spread(reuse) <= commit_spread(base)
 
 
-def synthetic_record(**overrides):
-    kwargs = dict(pc=0x1000, text="add $t1, $t0, $t0", dispatch=0,
-                  issue=2, complete=3, commit=4, executions=1,
-                  reused=False, predicted=False, prediction_correct=None)
-    kwargs.update(overrides)
-    return TraceRecord(**kwargs)
+def synthetic_commit(pc=0x1000, text="add $t1, $t0, $t0", dispatch=0,
+                     issue=2, complete=3, commit=4, reused=False,
+                     predicted=False, correct=None):
+    return TraceEvent("commit", commit, seq=1, pc=pc, data={
+        "opcode": "add", "text": text, "dispatch": dispatch,
+        "issue": issue, "complete": complete, "executions": 1,
+        "reused": reused, "predicted": predicted, "correct": correct})
 
 
 class TestAlignment:
@@ -126,45 +120,30 @@ class TestAlignment:
                 assert len(row) == end or row[end] == " "
 
     def test_long_disassembly_does_not_shear_columns(self):
-        records = [
-            synthetic_record(),
-            synthetic_record(pc=0xDEAD0, text="lw $t9, -32768($gp)  ",
+        events = [
+            synthetic_commit(),
+            synthetic_commit(pc=0xDEAD0, text="lw $t9, -32768($gp)  ",
                              dispatch=999_000, issue=999_123,
                              complete=1_234_567, commit=1_234_570,
                              reused=True),
-            synthetic_record(text="x", issue=None, predicted=True,
-                             prediction_correct=False),
+            synthetic_commit(text="x", issue=None, predicted=True,
+                             correct=False),
         ]
-        self.assert_grid(render_trace_table(records, relative=False))
+        self.assert_grid(figure2_table(events, relative=False))
 
     def test_relative_and_absolute_both_aligned(self):
-        records = [synthetic_record(dispatch=500, issue=510,
-                                    complete=520, commit=530),
-                   synthetic_record(dispatch=501, issue=None,
-                                    complete=502, commit=531)]
-        self.assert_grid(render_trace_table(records, relative=True))
-        self.assert_grid(render_trace_table(records, relative=False))
+        events = [synthetic_commit(dispatch=500, issue=510,
+                                   complete=520, commit=530),
+                  synthetic_commit(dispatch=501, issue=None,
+                                   complete=502, commit=531)]
+        self.assert_grid(figure2_table(events, relative=True))
+        self.assert_grid(figure2_table(events, relative=False))
 
 
 class TestOfflineReconstruction:
-    """records_from_events must rebuild the exact live Figure-2 view
-    from a saved telemetry trace (both paths share render_trace_table)."""
-
-    def test_saved_commit_events_reproduce_live_render(self):
-        config = dataclasses.replace(ir_config(), verify_commits=True)
-        core = OutOfOrderCore(config, assemble(SOURCE))
-        tracer = PipelineTracer(core, limit=100_000)
-        sink = core.enable_telemetry(interval=100)
-        core.run(max_cycles=20_000)
-        rebuilt = records_from_events(sink.trace)
-        assert len(rebuilt) == len(tracer.records)
-        assert render_trace_table(rebuilt) == tracer.render()
+    """The view reads only ``commit`` events, so a whole saved trace
+    can be passed in."""
 
     def test_non_commit_events_ignored(self):
-        class Event:
-            def __init__(self, kind):
-                self.kind = kind
-                self.cycle, self.seq, self.pc, self.data = 1, 1, 0, {}
-
-        assert records_from_events([Event("dispatch"),
-                                    Event("squash")]) == []
+        assert figure2_rows([TraceEvent("dispatch", 1, 1, 0),
+                             TraceEvent("squash", 1, 1, 0)]) == []
